@@ -898,7 +898,7 @@ fn profile(flags: &[String]) {
     let _ = sse::sigma(&inputs, SseVariant::Omen);
     let _ = sse::sigma(&inputs, SseVariant::Reference);
 
-    // Both distributed SSE schemes, with per-rank byte accounting.
+    // The OMEN baseline and the CA scheme, with per-rank byte accounting.
     let ctx = qt_dist::schemes::SseDistContext {
         p: &p,
         dev: &sim.dev,
@@ -912,13 +912,9 @@ fn profile(flags: &[String]) {
     let omen_procs = 4;
     let (_, _, omen_stats) = qt_dist::schemes::omen_scheme(&ctx, omen_procs);
     let (te, ta) = (2usize, 2usize);
-    let dist = qt_dist::runner::distributed_iteration(
-        &p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg.gf, te, ta,
-    )
-    .expect("distributed iteration");
-    // One fault-free pass through the elastic (heartbeat-supervised)
-    // iteration so the elasticity counters and the elastic volume model
-    // are exercised by every profile run.
+    // One fault-free pass through the distributed (heartbeat-supervised)
+    // iteration: its CA exchange feeds the per-rank comm table, the
+    // exact volume residual and the balance block.
     let elastic = qt_dist::runner::distributed_iteration_elastic(
         &p,
         &sim.dev,
@@ -939,12 +935,15 @@ fn profile(flags: &[String]) {
     // Grants depend on poll timing, so retry the pass a few times; the
     // observables stay bitwise identical either way.
     {
-        let live = qt_dist::LivenessConfig::default();
+        let policy = qt_dist::ElasticPolicy {
+            steal: true,
+            ..Default::default()
+        };
         let tiling = qt_dist::ElasticTiling::weighted(&p, te, ta, te * ta, &[0.0; 4]);
         let mut steal_requests = 0u64;
         let mut stolen = 0u64;
         for _ in 0..5 {
-            let (_, _, stats) = qt_dist::elastic_sse_exchange_opts(&ctx, &tiling, &live, true)
+            let (_, _, stats) = qt_dist::elastic_sse_exchange_with(&ctx, &tiling, &policy)
                 .expect("stealing elastic exchange");
             let bal = stats.balance.expect("balance measured");
             steal_requests += bal.steal_requests;
@@ -972,13 +971,13 @@ fn profile(flags: &[String]) {
             "--chaos-kill rank {victim} outside world {procs}"
         );
         println!("  chaos: killing rank {victim} (world {procs}) mid-iteration");
-        let plan = qt_dist::FaultPlan::new(42).with_kill_at(victim, 3);
         let policy = qt_dist::runner::ElasticPolicy {
             max_bad_fraction: 1.0 / procs as f64,
+            faults: Some(qt_dist::FaultPlan::new(42).with_kill_at(victim, 3)),
             ..Default::default()
         };
-        let el = qt_dist::runner::distributed_iteration_elastic_with_faults(
-            &p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg.gf, te, ta, &policy, plan,
+        let el = qt_dist::runner::distributed_iteration_elastic(
+            &p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg.gf, te, ta, &policy,
         )
         .expect("elastic recovery from the scheduled kill");
         println!(
@@ -1033,12 +1032,6 @@ fn profile(flags: &[String]) {
         true,
     ));
     rep.residuals.push(ModelResidual::new(
-        "dace_comm_bytes_vs_exact",
-        dist.sse_bytes as f64,
-        volume::dace_measured_bytes(&p, te, ta, halo) as f64,
-        true,
-    ));
-    rep.residuals.push(ModelResidual::new(
         "dace_elastic_comm_bytes_vs_exact",
         elastic.result.sse_bytes as f64,
         volume::dace_elastic_measured_bytes(&p, halo, &qt_dist::ElasticTiling::new(&p, te, ta))
@@ -1053,7 +1046,7 @@ fn profile(flags: &[String]) {
     ));
     rep.residuals.push(ModelResidual::new(
         "dace_comm_bytes_vs_table45",
-        dist.sse_bytes as f64,
+        elastic.result.sse_bytes as f64,
         volume::dace_total_bytes(&p, te, ta),
         false,
     ));
@@ -1070,13 +1063,8 @@ fn profile(flags: &[String]) {
         });
     }
     rep.warmup = qt_telemetry::report::WarmupStats::from_convergence(&rep.convergence);
-    for (rank, (&sent, &recv)) in dist
-        .comm
-        .rank_sent
-        .iter()
-        .zip(&dist.comm.rank_recv)
-        .enumerate()
-    {
+    let ca_comm = &elastic.result.comm;
+    for (rank, (&sent, &recv)) in ca_comm.rank_sent.iter().zip(&ca_comm.rank_recv).enumerate() {
         rep.comm.push(RankComm {
             rank,
             sent_bytes: sent,
@@ -1085,9 +1073,7 @@ fn profile(flags: &[String]) {
     }
     // Per-rank busy times of the elastic iteration → the report's balance
     // block (`check-report --require-balance` gates on its ratio).
-    let busy = elastic
-        .result
-        .comm
+    let busy = ca_comm
         .balance
         .as_ref()
         .expect("elastic exchange measures balance");
@@ -1700,6 +1686,10 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     let grids = Grids::new(&p, -1.2, 1.2);
     let cfg = GfConfig::default();
     let policy = ElasticPolicy::default();
+    let stealing = ElasticPolicy {
+        steal: true,
+        ..Default::default()
+    };
     let units = te * ta;
 
     let warm = |walls: &[f64]| {
@@ -1727,7 +1717,6 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
             &cfg,
             &mut static_tiling,
             &policy,
-            false,
         )
         .expect("static iteration");
         static_walls.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -1750,18 +1739,9 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     let mut moved_units = 0usize;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let r = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            true,
-        )
-        .expect("adaptive iteration");
+        let r =
+            distributed_iteration_tiled(&p, &dev, &em, &pm, &grids, &cfg, &mut tiling, &stealing)
+                .expect("adaptive iteration");
         adaptive_walls.push(t0.elapsed().as_secs_f64() * 1e3);
         // The whole point of the bitwise-safe migration path: the tiling
         // may move and ranks may steal, the observables may not.

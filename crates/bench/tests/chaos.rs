@@ -19,8 +19,8 @@ use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::params::SimParams;
 use qt_dist::runner::{
-    distributed_iteration, distributed_iteration_elastic_with_faults,
-    distributed_iteration_tiled_with_faults, distributed_iteration_with_faults, ElasticPolicy,
+    distributed_iteration_elastic, distributed_iteration_tiled, ElasticIterationResult,
+    ElasticPolicy,
 };
 use qt_dist::{ElasticTiling, FaultPlan};
 
@@ -58,36 +58,61 @@ fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
     (p, dev, em, pm, grids)
 }
 
+/// The fault-free reference: one elastic iteration on the full `te × ta`
+/// tiling with the default policy.
+fn clean_run(te: usize, ta: usize) -> ElasticIterationResult {
+    let (p, dev, em, pm, grids) = fixture();
+    let policy = ElasticPolicy::default();
+    distributed_iteration_elastic(
+        &p,
+        &dev,
+        &em,
+        &pm,
+        &grids,
+        &GfConfig::default(),
+        te,
+        ta,
+        &policy,
+    )
+    .unwrap()
+}
+
 #[test]
 fn faulty_pipeline_reports_health_and_passes_the_gate() {
     let _g = lock();
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    let p = SimParams {
-        nkz: 2,
-        nqz: 2,
-        ne: 12,
-        nw: 2,
-        na: 12,
-        nb: 3,
-        norb: 2,
-        bnum: 4,
-    };
-    let dev = Device::new(&p);
-    let em = ElectronModel::for_params(&p);
-    let pm = PhononModel::default();
-    let grids = Grids::new(&p, -1.2, 1.2);
+    let (p, dev, em, pm, grids) = fixture();
     let cfg = GfConfig::default();
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
+    let clean = clean_run(2, 2).result;
     let plan = FaultPlan::new(515)
         .with_drops(150)
         .with_corruption(100)
         .with_stalled_rank(2, Duration::from_millis(10));
-    let faulty =
-        distributed_iteration_with_faults(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, plan).unwrap();
+    let policy = ElasticPolicy {
+        faults: Some(plan),
+        ..Default::default()
+    };
+    let el =
+        distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, &policy).unwrap();
+    assert!(
+        el.deaths.is_empty(),
+        "message faults kill nobody: {:?}",
+        el.deaths
+    );
+    assert!(!el.degraded);
+    let faulty = el.result;
     let rel = clean.sigma.lesser.max_abs_diff(&faulty.sigma.lesser)
         / clean.sigma.lesser.norm().max(1e-30);
     assert!(rel <= 1e-10, "faulty run must match fault-free: rel {rel}");
+    for (name, a, b) in [
+        ("sigma lesser", &clean.sigma.lesser, &faulty.sigma.lesser),
+        ("sigma greater", &clean.sigma.greater, &faulty.sigma.greater),
+        ("pi lesser", &clean.pi.lesser, &faulty.pi.lesser),
+        ("pi greater", &clean.pi.greater, &faulty.pi.greater),
+    ] {
+        assert_eq!(a.as_slice(), b.as_slice(), "{name} must match bitwise");
+    }
 
     // The report's health block carries the recovery counters, and the
     // --require-health gate (health block present) passes after a
@@ -113,21 +138,19 @@ fn killed_rank_recovers_bitwise_exactly() {
     let procs = te * ta;
     let victim = procs - 1;
 
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean_run(te, ta).result;
 
     // Seeded, deterministic kill: the victim dies on its third SSE send.
     // Survivors detect it, re-tile, and retry on the shrunken world. One
     // rank's death quarantines exactly 1/procs of the electron grid, so
     // the ceiling is set to admit exactly one loss at any world size.
-    let plan = FaultPlan::new(42).with_kill_at(victim, 3);
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
+        faults: Some(FaultPlan::new(42).with_kill_at(victim, 3)),
         ..Default::default()
     };
-    let el = distributed_iteration_elastic_with_faults(
-        &p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy, plan,
-    )
-    .unwrap();
+    let el =
+        distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy).unwrap();
 
     assert_eq!(el.deaths, vec![victim], "exactly the scheduled rank dies");
     assert!(el.retiles >= 1, "the supervisor must have re-tiled");
@@ -166,20 +189,12 @@ fn chaos_recovery_is_deterministic() {
     let (p, dev, em, pm, grids) = fixture();
     let cfg = GfConfig::default();
     let (te, ta) = world_shape();
+    let policy = ElasticPolicy {
+        faults: Some(FaultPlan::new(7).with_kill_at(0, 2)),
+        ..Default::default()
+    };
     let run = || {
-        distributed_iteration_elastic_with_faults(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            te,
-            ta,
-            &ElasticPolicy::default(),
-            FaultPlan::new(7).with_kill_at(0, 2),
-        )
-        .unwrap()
+        distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy).unwrap()
     };
     let a = run();
     let b = run();
@@ -203,7 +218,7 @@ fn killed_steal_participant_falls_back_to_elastic_recovery() {
     let cfg = GfConfig::default();
     let (te, ta) = world_shape();
     let procs = te * ta;
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean_run(te, ta).result;
 
     // Collapse every unit onto rank 0: all other ranks enter the steal
     // protocol immediately and rank 0's only cross-rank traffic is steal
@@ -216,21 +231,12 @@ fn killed_steal_participant_falls_back_to_elastic_recovery() {
     // admit that so it rides recovery instead of degrading.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0,
+        steal: true,
+        faults: Some(FaultPlan::new(13).with_kill_at(0, 1)),
         ..Default::default()
     };
-    let el = distributed_iteration_tiled_with_faults(
-        &p,
-        &dev,
-        &em,
-        &pm,
-        &grids,
-        &cfg,
-        &mut tiling,
-        &policy,
-        true,
-        FaultPlan::new(13).with_kill_at(0, 1),
-    )
-    .unwrap();
+    let el = distributed_iteration_tiled(&p, &dev, &em, &pm, &grids, &cfg, &mut tiling, &policy)
+        .unwrap();
 
     assert_eq!(el.deaths, vec![0], "the steal victim dies, nobody else");
     assert!(el.retiles >= 1, "its death must force a re-tile");
@@ -269,21 +275,11 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     // must be abandoned and the iteration must still complete.
     let policy = ElasticPolicy {
         max_bad_fraction: 0.0,
+        faults: Some(FaultPlan::new(9).with_kill_at(victim, 1)),
         ..Default::default()
     };
-    let el = distributed_iteration_elastic_with_faults(
-        &p,
-        &dev,
-        &em,
-        &pm,
-        &grids,
-        &cfg,
-        te,
-        ta,
-        &policy,
-        FaultPlan::new(9).with_kill_at(victim, 1),
-    )
-    .unwrap();
+    let el =
+        distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy).unwrap();
 
     assert!(el.degraded, "an unrecoverable death must degrade, not hang");
     assert_eq!(el.deaths, vec![victim]);
@@ -299,7 +295,7 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     }
     // Degraded ≠ garbage: the surviving tiles still carry fault-free
     // values; only the abandoned slices are zero-filled.
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean_run(te, ta).result;
     let nonzero = el
         .result
         .sigma

@@ -2,8 +2,9 @@
 //!
 //! A thread-backed MPI-like world with exact byte accounting, the paper's
 //! two data distributions (OMEN's momentum×energy and DaCe's energy×atom
-//! tiling), and runnable implementations of both SSE communication schemes
-//! whose measured volumes follow the closed forms of §4.1.
+//! tiling), the OMEN baseline and the communication-avoiding SSE exchange
+//! executed for real on N ranks (with measured volumes that follow the
+//! closed forms of §4.1), and the supervised distributed GF+SSE iteration.
 
 pub mod comm;
 pub mod decomp;
@@ -25,10 +26,4 @@ pub use runner::{
     distributed_iteration_elastic, distributed_iteration_tiled, maybe_rebalance,
     ElasticIterationResult, ElasticPolicy,
 };
-#[cfg(feature = "fault-inject")]
-pub use runner::{
-    distributed_iteration_elastic_with_faults, distributed_iteration_tiled_with_faults,
-};
-pub use schemes::{elastic_sse_exchange, elastic_sse_exchange_opts, BalanceStats, ElasticExchange};
-#[cfg(feature = "fault-inject")]
-pub use schemes::{elastic_sse_exchange_with_faults, elastic_sse_exchange_with_faults_opts};
+pub use schemes::{elastic_sse_exchange, elastic_sse_exchange_with, BalanceStats, ElasticExchange};

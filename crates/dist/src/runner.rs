@@ -2,18 +2,17 @@
 //!
 //! One full iteration of the Fig. 2 loop executed on the thread world:
 //! every rank *computes* the Green's functions for its own energy chunk
-//! (momentum×energy parallelism of the GF phase), the DaCe all-to-all
-//! redistributes them into the energy×atom tiling, each rank runs its local
-//! SSE, and the results gather on root. Unlike [`crate::schemes`] (which
-//! reads pre-computed tensors to isolate the communication pattern), this
-//! driver owns the whole pipeline — the distributed analogue of
-//! `qt_core::scf`'s single iteration.
+//! (momentum×energy parallelism of the GF phase), the communication-avoiding
+//! exchange redistributes them into the energy×atom tiling, each rank runs
+//! its local SSE, and the results gather on root. Unlike [`crate::schemes`]
+//! (which reads pre-computed tensors to isolate the communication pattern),
+//! this driver owns the whole pipeline — the distributed analogue of
+//! `qt_core::scf`'s single iteration — and supervises the exchange: a rank
+//! that dies mid-exchange is re-tiled around and the exchange retried.
 
 use crate::comm::{run_world, LivenessConfig};
 use crate::decomp::{ElasticTiling, OmenDecomp};
-use crate::schemes::{
-    dace_scheme, elastic_sse_exchange, CommStats, ElasticExchange, SseDistContext,
-};
+use crate::schemes::{elastic_sse_exchange_with, CommStats, SseDistContext};
 use qt_core::device::Device;
 use qt_core::gf::{self, ElectronSelfEnergy, GfConfig, PhononSelfEnergy};
 use qt_core::grids::Grids;
@@ -34,49 +33,6 @@ pub struct DistIterationResult {
     pub sse_bytes: u64,
     /// Full per-rank communication statistics of the SSE exchange.
     pub comm: CommStats,
-}
-
-/// Run one GF+SSE iteration distributed over `te × ta` ranks.
-///
-/// The GF phase is computed rank-locally: rank `r` solves RGF for its
-/// energy chunk (all kz), exactly the paper's momentum+energy
-/// decomposition. The SSE phase uses the communication-avoiding scheme.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-) -> Result<DistIterationResult, NumericalError> {
-    distributed_iteration_impl(p, dev, em, pm, grids, cfg, te, ta, |ctx| {
-        dace_scheme(ctx, te, ta)
-    })
-}
-
-/// [`distributed_iteration`] with the SSE exchange running under a
-/// deterministic fault plan (the GF phase communicates nothing, so it is
-/// unaffected). With `guarantee_delivery` the result matches the
-/// fault-free run bitwise; only traffic and timing differ.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    plan: crate::fault::FaultPlan,
-) -> Result<DistIterationResult, NumericalError> {
-    distributed_iteration_impl(p, dev, em, pm, grids, cfg, te, ta, move |ctx| {
-        crate::schemes::dace_scheme_with_faults(ctx, te, ta, plan)
-    })
 }
 
 /// Everything the GF phase produces: the inputs of the SSE exchange.
@@ -174,32 +130,9 @@ fn gf_phase(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn distributed_iteration_impl(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    sse_exchange: impl FnOnce(&SseDistContext<'_>) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats),
-) -> Result<DistIterationResult, NumericalError> {
-    let _span = qt_telemetry::Span::enter_global("dist/iteration");
-    let gfp = gf_phase(p, dev, em, pm, grids, cfg, te * ta)?;
-    // ---- SSE phase: communication-avoiding exchange + local compute. ----
-    let (sigma, pi, stats) = sse_exchange(&gfp.ctx(p, dev, grids));
-    Ok(DistIterationResult {
-        sigma,
-        pi,
-        current: gfp.current,
-        sse_bytes: stats.world_bytes,
-        comm: stats,
-    })
-}
-
-/// Tuning for the elastic supervision loop.
+/// Options of one distributed iteration: the elastic supervision loop, the
+/// exchange's work stealing and, with feature `fault-inject`, the fault
+/// plan its worlds run under.
 #[derive(Clone, Debug)]
 pub struct ElasticPolicy {
     /// Failure-detector configuration for the survivor worlds.
@@ -213,6 +146,16 @@ pub struct ElasticPolicy {
     /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
     /// can die at most once per original rank, so the default is ample).
     pub max_retiles: usize,
+    /// Intra-iteration work stealing: idle ranks pull unstarted units from
+    /// stragglers. Observables are bitwise identical either way; only the
+    /// traffic (and so the exact byte models) changes.
+    pub steal: bool,
+    /// Deterministic fault schedule (drops, corruption, delays, a stalled
+    /// rank, scheduled kills) for every exchange attempt. Kills are matched
+    /// by original identity, so a rank dies at most once across retries and
+    /// the recovery replays identically on every run.
+    #[cfg(feature = "fault-inject")]
+    pub faults: Option<crate::fault::FaultPlan>,
 }
 
 impl Default for ElasticPolicy {
@@ -221,6 +164,9 @@ impl Default for ElasticPolicy {
             live: LivenessConfig::default(),
             max_bad_fraction: qt_core::health::HealthPolicy::default().max_bad_fraction,
             max_retiles: 64,
+            steal: false,
+            #[cfg(feature = "fault-inject")]
+            faults: None,
         }
     }
 }
@@ -244,17 +190,8 @@ pub struct ElasticIterationResult {
     pub migrated_units: usize,
 }
 
-/// Run one GF+SSE iteration with elastic rank-failure recovery.
-///
-/// The GF phase runs on the full original world (it communicates nothing).
-/// The SSE exchange runs under supervision: each attempt executes the
-/// elastic CA scheme over the current survivor set; a detected death
-/// shrinks the tiling (only the dead rank's units migrate) and the
-/// exchange retries on a fresh survivor world. A successful recovery is
-/// *bitwise identical* to the fault-free run. When a death would push the
-/// quarantined fraction past [`ElasticPolicy::max_bad_fraction`], its
-/// units are abandoned instead and the iteration completes in degraded
-/// mode with those tiles zero-filled and reported in the coverage.
+/// Run one GF+SSE iteration distributed over the full `te × ta` tiling
+/// (every rank owns its own tile); see [`distributed_iteration_tiled`].
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_iteration_elastic(
     p: &SimParams,
@@ -267,20 +204,37 @@ pub fn distributed_iteration_elastic(
     ta: usize,
     policy: &ElasticPolicy,
 ) -> Result<ElasticIterationResult, NumericalError> {
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, &mut tiling, policy, |ctx, t| {
-        elastic_sse_exchange(ctx, t, &policy.live)
-    })
+    distributed_iteration_tiled(
+        p,
+        dev,
+        em,
+        pm,
+        grids,
+        cfg,
+        &mut ElasticTiling::new(p, te, ta),
+        policy,
+    )
 }
 
-/// One elastic GF+SSE iteration on a *caller-provided* tiling — the entry
-/// point of the adaptive load-balancing loop. The tiling may be uniform
-/// ([`ElasticTiling::uniform`]), weighted ([`ElasticTiling::weighted`]),
-/// or mid-recovery; deaths shrink it in place so the caller's tiling
-/// stays current across iterations. With `steal` on, idle ranks pull
-/// unstarted units from stragglers inside the iteration; observables are
-/// bitwise identical either way. Per-rank busy times and per-unit costs
-/// come back in `result.comm.balance`.
+/// Run one GF+SSE iteration with elastic rank-failure recovery on a
+/// *caller-provided* tiling — uniform ([`ElasticTiling::uniform`]),
+/// weighted ([`ElasticTiling::weighted`]) or mid-recovery. This is also
+/// the entry point of the adaptive load-balancing loop: deaths shrink the
+/// tiling in place so the caller's tiling stays current across iterations,
+/// and per-rank busy times and per-unit costs come back in
+/// `result.comm.balance`.
+///
+/// The GF phase runs on the full original world (it communicates nothing)
+/// and rank `r` solves RGF for its energy chunk (all kz), the paper's
+/// momentum+energy decomposition. The SSE exchange runs under supervision:
+/// each attempt executes the CA scheme over the current survivor set; a
+/// detected death shrinks the tiling (only the dead rank's units migrate)
+/// and the exchange retries on a fresh survivor world. A successful
+/// recovery is *bitwise identical* to the fault-free run. When a death
+/// would push the quarantined fraction past
+/// [`ElasticPolicy::max_bad_fraction`], its units are abandoned instead and
+/// the iteration completes in degraded mode with those tiles zero-filled
+/// and reported in the coverage.
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_iteration_tiled(
     p: &SimParams,
@@ -291,41 +245,98 @@ pub fn distributed_iteration_tiled(
     cfg: &GfConfig,
     tiling: &mut ElasticTiling,
     policy: &ElasticPolicy,
-    steal: bool,
 ) -> Result<ElasticIterationResult, NumericalError> {
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_opts(ctx, t, &policy.live, steal)
-    })
-}
-
-/// [`distributed_iteration_tiled`] with the SSE exchange running under a
-/// deterministic fault plan — the harness for proving the steal protocol
-/// composes with rank death: a victim or thief killed mid-protocol
-/// surfaces as a typed death and the iteration rides the elastic
-/// re-tiling path to completion.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_tiled_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-    steal: bool,
-    plan: crate::fault::FaultPlan,
-) -> Result<ElasticIterationResult, NumericalError> {
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_with_faults_opts(
-            ctx,
-            t,
-            &policy.live,
-            plan.clone(),
-            steal,
-        )
-    })
+    let _span = qt_telemetry::Span::enter_global("dist/iteration_elastic");
+    let procs = tiling.procs();
+    let gfp = gf_phase(p, dev, em, pm, grids, cfg, procs)?;
+    let ctx = gfp.ctx(p, dev, grids);
+    let gf_dec = OmenDecomp::new(p, procs);
+    let mut coverage = CoverageReport::full(p.nkz * p.ne);
+    let mut quarantined_idx: BTreeSet<usize> = BTreeSet::new();
+    let mut deaths: Vec<usize> = Vec::new();
+    let mut retiles = 0usize;
+    let mut migrated_units = 0usize;
+    loop {
+        let (result, degraded) = if tiling.world_size() == 0 || retiles > policy.max_retiles {
+            // Nobody left to compute (or the supervisor hit its retry
+            // bound): complete fully degraded with all-zero Σ≷/Π≷.
+            let result = DistIterationResult {
+                sigma: ElectronSelfEnergy::zeros(p),
+                pi: PhononSelfEnergy::zeros(p),
+                current: gfp.current,
+                sse_bytes: 0,
+                comm: CommStats::default(),
+            };
+            (result, true)
+        } else {
+            match elastic_sse_exchange_with(&ctx, tiling, policy) {
+                Ok((sigma, pi, stats)) => {
+                    let result = DistIterationResult {
+                        sigma,
+                        pi,
+                        current: gfp.current,
+                        sse_bytes: stats.world_bytes,
+                        comm: stats,
+                    };
+                    (result, tiling.live_units().len() < procs)
+                }
+                Err(suspects) => {
+                    retiles += 1;
+                    qt_telemetry::counters::add_retile_event();
+                    let mut moved_this_round: u64 = 0;
+                    for dead in suspects {
+                        if !tiling.is_survivor(dead) {
+                            continue; // already handled in an earlier round
+                        }
+                        deaths.push(dead);
+                        qt_telemetry::counters::add_rank_death();
+                        qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath {
+                            rank: dead as u64,
+                        });
+                        // Quarantine the electron grid points whose GF-chunk
+                        // state sat on the dead rank (deduplicated: a unit
+                        // that migrates and loses its new host again counts
+                        // once).
+                        for u in tiling.units_of(dead) {
+                            for e in gf_dec.energy.range(u) {
+                                for k in 0..p.nkz {
+                                    let grid_index = k * p.ne + e;
+                                    if quarantined_idx.insert(grid_index) {
+                                        coverage.quarantined.push(QuarantinedPoint {
+                                            grid_index,
+                                            error: NumericalError::RankLoss { rank: dead },
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                        if coverage.bad_fraction() <= policy.max_bad_fraction {
+                            let moved = tiling.remove_rank(dead).len();
+                            migrated_units += moved;
+                            moved_this_round += moved as u64;
+                            qt_telemetry::counters::add_migrated_tiles(moved as u64);
+                        } else {
+                            // Too much of the grid would ride recovery: give
+                            // the units up instead of migrating them.
+                            tiling.abandon_rank(dead);
+                        }
+                    }
+                    qt_telemetry::journal::emit(qt_telemetry::EventKind::Retile {
+                        moved_units: moved_this_round,
+                    });
+                    continue;
+                }
+            }
+        };
+        return Ok(ElasticIterationResult {
+            result,
+            coverage,
+            degraded,
+            deaths,
+            retiles,
+            migrated_units,
+        });
+    }
 }
 
 /// Re-partition `tiling` from measured per-unit costs when the measured
@@ -348,159 +359,6 @@ pub fn maybe_rebalance(
         qt_telemetry::counters::add_rebalance_moved_units(moved.len() as u64);
     }
     moved
-}
-
-/// [`distributed_iteration_elastic`] with the SSE exchange running under a
-/// deterministic fault plan, including `kill_at` schedules. Kills are
-/// matched by original identity, so a rank dies at most once across the
-/// retries and the recovery sequence replays identically on every run.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_elastic_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    policy: &ElasticPolicy,
-    plan: crate::fault::FaultPlan,
-) -> Result<ElasticIterationResult, NumericalError> {
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, &mut tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_with_faults(ctx, t, &policy.live, plan.clone())
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn distributed_iteration_elastic_impl(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-    exchange: impl Fn(&SseDistContext<'_>, &ElasticTiling) -> ElasticExchange,
-) -> Result<ElasticIterationResult, NumericalError> {
-    let _span = qt_telemetry::Span::enter_global("dist/iteration_elastic");
-    let procs = tiling.procs();
-    let gfp = gf_phase(p, dev, em, pm, grids, cfg, procs)?;
-    let ctx = gfp.ctx(p, dev, grids);
-    let gf_dec = OmenDecomp::new(p, procs);
-    let mut coverage = CoverageReport::full(p.nkz * p.ne);
-    let mut quarantined_idx: BTreeSet<usize> = BTreeSet::new();
-    let mut deaths: Vec<usize> = Vec::new();
-    let mut retiles = 0usize;
-    let mut migrated_units = 0usize;
-    let finish = |result: DistIterationResult,
-                  coverage: CoverageReport,
-                  degraded: bool,
-                  deaths: Vec<usize>,
-                  retiles: usize,
-                  migrated_units: usize| ElasticIterationResult {
-        result,
-        coverage,
-        degraded,
-        deaths,
-        retiles,
-        migrated_units,
-    };
-    loop {
-        if tiling.world_size() == 0 || retiles > policy.max_retiles {
-            // Nobody left to compute (or the supervisor hit its retry
-            // bound): complete fully degraded with all-zero Σ≷/Π≷.
-            let empty = CommStats {
-                world_bytes: 0,
-                max_rank_recv: 0,
-                rank_sent: Vec::new(),
-                rank_recv: Vec::new(),
-                balance: None,
-            };
-            let result = DistIterationResult {
-                sigma: ElectronSelfEnergy::zeros(p),
-                pi: PhononSelfEnergy::zeros(p),
-                current: gfp.current,
-                sse_bytes: 0,
-                comm: empty,
-            };
-            return Ok(finish(
-                result,
-                coverage,
-                true,
-                deaths,
-                retiles,
-                migrated_units,
-            ));
-        }
-        match exchange(&ctx, tiling) {
-            Ok((sigma, pi, stats)) => {
-                let degraded = tiling.live_units().len() < procs;
-                let result = DistIterationResult {
-                    sigma,
-                    pi,
-                    current: gfp.current,
-                    sse_bytes: stats.world_bytes,
-                    comm: stats,
-                };
-                return Ok(finish(
-                    result,
-                    coverage,
-                    degraded,
-                    deaths,
-                    retiles,
-                    migrated_units,
-                ));
-            }
-            Err(suspects) => {
-                retiles += 1;
-                qt_telemetry::counters::add_retile_event();
-                let mut moved_this_round: u64 = 0;
-                for dead in suspects {
-                    if !tiling.is_survivor(dead) {
-                        continue; // already handled in an earlier round
-                    }
-                    deaths.push(dead);
-                    qt_telemetry::counters::add_rank_death();
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath {
-                        rank: dead as u64,
-                    });
-                    // Quarantine the electron grid points whose GF-chunk
-                    // state sat on the dead rank (deduplicated: a unit that
-                    // migrates and loses its new host again counts once).
-                    for u in tiling.units_of(dead) {
-                        for e in gf_dec.energy.range(u) {
-                            for k in 0..p.nkz {
-                                let grid_index = k * p.ne + e;
-                                if quarantined_idx.insert(grid_index) {
-                                    coverage.quarantined.push(QuarantinedPoint {
-                                        grid_index,
-                                        error: NumericalError::RankLoss { rank: dead },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    if coverage.bad_fraction() <= policy.max_bad_fraction {
-                        let moved = tiling.remove_rank(dead).len();
-                        migrated_units += moved;
-                        moved_this_round += moved as u64;
-                        qt_telemetry::counters::add_migrated_tiles(moved as u64);
-                    } else {
-                        // Too much of the grid would ride recovery: give
-                        // the units up instead of migrating them.
-                        tiling.abandon_rank(dead);
-                    }
-                }
-                qt_telemetry::journal::emit(qt_telemetry::EventKind::Retile {
-                    moved_units: moved_this_round,
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -544,7 +402,10 @@ mod tests {
         };
         let serial_sigma = sse::sigma(&inputs, sse::SseVariant::Dace);
         // Distributed on a 2×2 grid.
-        let dist = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
+        let policy = ElasticPolicy::default();
+        let dist = distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, &policy)
+            .unwrap()
+            .result;
         let rel = serial_sigma.lesser.max_abs_diff(&dist.sigma.lesser)
             / serial_sigma.lesser.norm().max(1e-30);
         assert!(rel < 1e-10, "distributed iteration Σ< rel {rel}");
@@ -576,18 +437,22 @@ mod tests {
         let grids = Grids::new(&p, -1.2, 1.2);
         let cfg = GfConfig::default();
         let (te, ta) = (2, 2);
-        let dist = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+        let policy = ElasticPolicy::default();
+        let dist = distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy)
+            .unwrap()
+            .result;
         assert_eq!(dist.comm.rank_sent.len(), te * ta);
         assert_eq!(dist.comm.rank_sent.iter().sum::<u64>(), dist.sse_bytes);
         assert_eq!(dist.comm.world_bytes, dist.sse_bytes);
         // The per-rank sends match the exact closed form of the scheme.
         let halo = dev.max_neighbor_index_distance();
-        let model = crate::volume::dace_rank_sent_bytes(&p, te, ta, halo);
+        let model =
+            crate::volume::dace_elastic_rank_sent_bytes(&p, halo, &ElasticTiling::new(&p, te, ta));
         assert_eq!(dist.comm.rank_sent, model);
     }
 
     #[test]
-    fn elastic_iteration_without_faults_matches_classic_bitwise() {
+    fn fault_free_iteration_is_clean_and_independent_of_the_survivor_set() {
         let p = SimParams {
             nkz: 2,
             nqz: 2,
@@ -603,7 +468,6 @@ mod tests {
         let pm = PhononModel::default();
         let grids = Grids::new(&p, -1.2, 1.2);
         let cfg = GfConfig::default();
-        let classic = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
         let policy = ElasticPolicy::default();
         let el =
             distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, &policy).unwrap();
@@ -612,16 +476,23 @@ mod tests {
         assert_eq!(el.retiles, 0);
         assert_eq!(el.migrated_units, 0);
         assert!(el.coverage.is_full());
-        assert_eq!(el.result.current, classic.current);
+        // The same 2×2 unit grid on two ranks (two units each) must
+        // reproduce the full-world answer bit for bit.
+        let mut halved = ElasticTiling::uniform(&p, 2, 2, 2);
+        let two =
+            distributed_iteration_tiled(&p, &dev, &em, &pm, &grids, &cfg, &mut halved, &policy)
+                .unwrap();
+        assert!(!two.degraded);
+        assert_eq!(el.result.current, two.result.current);
         assert_eq!(
             el.result.sigma.lesser.as_slice(),
-            classic.sigma.lesser.as_slice()
+            two.result.sigma.lesser.as_slice()
         );
         assert_eq!(
             el.result.pi.greater.as_slice(),
-            classic.pi.greater.as_slice()
+            two.result.pi.greater.as_slice()
         );
-        assert_eq!(el.result.comm.rank_sent, classic.comm.rank_sent);
+        assert_eq!(two.result.comm.rank_sent.len(), 2);
     }
 
     #[test]
@@ -643,18 +514,9 @@ mod tests {
         let cfg = GfConfig::default();
         let policy = ElasticPolicy::default();
         let mut tiling = ElasticTiling::uniform(&p, 2, 2, 4);
-        let first = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            false,
-        )
-        .unwrap();
+        let first =
+            distributed_iteration_tiled(&p, &dev, &em, &pm, &grids, &cfg, &mut tiling, &policy)
+                .unwrap();
         assert!(!first.degraded);
         let bal = first
             .result
@@ -676,18 +538,9 @@ mod tests {
         assert!(!moved.is_empty(), "4.0/1.75 imbalance must trigger a move");
         assert!(qt_telemetry::counters::total_rebalance_events() > events0);
         // The re-tiled iteration must reproduce the observables bit for bit.
-        let second = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            false,
-        )
-        .unwrap();
+        let second =
+            distributed_iteration_tiled(&p, &dev, &em, &pm, &grids, &cfg, &mut tiling, &policy)
+                .unwrap();
         assert_eq!(
             first.result.sigma.lesser.as_slice(),
             second.result.sigma.lesser.as_slice()
@@ -727,8 +580,13 @@ mod tests {
         let pm = PhononModel::default();
         let grids = Grids::new(&p, -1.2, 1.2);
         let cfg = GfConfig::default();
-        let a = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 1, 2).unwrap();
-        let b = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 5, 2).unwrap();
+        let policy = ElasticPolicy::default();
+        let run = |te| {
+            distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, te, 2, &policy)
+                .unwrap()
+                .result
+        };
+        let (a, b) = (run(1), run(5));
         let rel = a.sigma.lesser.max_abs_diff(&b.sigma.lesser) / a.sigma.lesser.norm().max(1e-30);
         assert!(rel < 1e-10, "chunking must not change results: {rel}");
     }

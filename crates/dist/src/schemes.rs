@@ -1,6 +1,6 @@
 //! Runnable SSE communication schemes (§4.1), executed on the thread world.
 //!
-//! Both schemes compute the *same* Σ≷ as the serial kernels in
+//! Both schemes compute the *same* Σ≷/Π≷ as the serial kernels in
 //! `qt_core::sse` (unit tests enforce it); they differ only in data
 //! movement:
 //!
@@ -8,15 +8,19 @@
 //!   to every process and replicates the needed `G≷(E−ω, ·)` slices by
 //!   point-to-point messages. The `G` traffic repeats every round — the
 //!   `2·Nqz·Nω` replication factor of §4.1.
-//! * [`dace_scheme`] — one all-to-all redistribution from the GF layout
+//! * [`elastic_sse_exchange_with`] — the communication-avoiding (DaCe)
+//!   scheme: one all-to-all redistribution from the GF layout
 //!   (energy-split) to the `(TE, TA)` energy×atom tiling with an `Nω`
 //!   energy halo and a neighbor-window atom halo; the SSE is then entirely
-//!   local.
+//!   local. It runs over any survivor set of an [`ElasticTiling`], so the
+//!   same code serves the full world, rank-failure recovery, weighted
+//!   tilings and work stealing.
 //!
 //! The measured byte counts follow the closed forms in [`crate::volume`].
 
 use crate::comm::{run_elastic_world, run_world, CommError, LivenessConfig, ThreadComm};
 use crate::decomp::{DaceDecomp, ElasticTiling, OmenDecomp};
+use crate::runner::ElasticPolicy;
 use qt_core::device::Device;
 use qt_core::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use qt_core::grids::Grids;
@@ -41,7 +45,7 @@ pub struct SseDistContext<'a> {
 }
 
 /// Measured communication of a distributed run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CommStats {
     /// Total bytes moved across the network (sum over ranks of sends).
     pub world_bytes: u64,
@@ -51,8 +55,8 @@ pub struct CommStats {
     pub rank_sent: Vec<u64>,
     /// Bytes received by each rank during the SSE exchange.
     pub rank_recv: Vec<u64>,
-    /// Per-rank compute-load measurements; `Some` for the elastic scheme
-    /// (which times every work unit), `None` for the classic schemes.
+    /// Per-rank compute-load measurements; `Some` for the CA scheme
+    /// (which times every work unit), `None` for the OMEN baseline.
     pub balance: Option<BalanceStats>,
 }
 
@@ -474,241 +478,15 @@ pub fn omen_scheme(
     collect_results(results)
 }
 
-/// Run the DaCe communication-avoiding scheme on a `(TE, TA)` grid.
-pub fn dace_scheme(
-    ctx: &SseDistContext<'_>,
-    te: usize,
-    ta: usize,
-) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let _span = qt_telemetry::Span::enter_global("comm/dace_scheme");
-    let results = run_world(te * ta, |comm: ThreadComm| {
-        dace_rank_body(ctx, te, ta, comm)
-    });
-    collect_results(results)
-}
-
-/// [`dace_scheme`] on a world carrying a deterministic fault plan: the
-/// same per-rank protocol, but every remote transmission goes through the
-/// reliable-delivery layer of [`crate::comm`].
-#[cfg(feature = "fault-inject")]
-pub fn dace_scheme_with_faults(
-    ctx: &SseDistContext<'_>,
-    te: usize,
-    ta: usize,
-    plan: crate::fault::FaultPlan,
-) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let _span = qt_telemetry::Span::enter_global("comm/dace_scheme_faulty");
-    let results = crate::comm::run_world_with_faults(te * ta, plan, |comm: ThreadComm| {
-        dace_rank_body(ctx, te, ta, comm)
-    });
-    collect_results(results)
-}
-
-/// One rank's share of the DaCe scheme: the two all-to-alls, the local
-/// SSE, the Π reduction, and the gather to root.
-fn dace_rank_body(ctx: &SseDistContext<'_>, te: usize, ta: usize, comm: ThreadComm) -> RankResult {
-    let p = ctx.p;
-    let nn = p.norb * p.norb;
-    let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
-    let procs = te * ta;
-    let halo = ctx.dev.max_neighbor_index_distance();
-    {
-        let rank = comm.rank();
-        let dec = DaceDecomp::new(p, te, ta);
-        let gf_dec = OmenDecomp::new(p, procs); // initial GF-phase layout
-        let my_gf_e = gf_dec.energy.range(rank);
-        let geom = tile_geom(&dec, p, halo, rank);
-        // ---- All-to-all #1: G≷ tiles with halos. ----
-        let mut sendbufs: Vec<Vec<Complex64>> = Vec::with_capacity(procs);
-        for dst in 0..procs {
-            let dst_geom = tile_geom(&dec, p, halo, dst);
-            sendbufs.push(pack_g_halo(ctx, my_gf_e.clone(), &dst_geom, nn));
-        }
-        let recvd = comm.alltoallv(sendbufs, 1);
-        // Assemble local halo arrays [tensor][k][e_halo][a_win][nn].
-        let aw_len = geom.a_win.len();
-        let mut g_local = [
-            vec![Complex64::ZERO; p.nkz * geom.e_halo.len() * aw_len * nn],
-            vec![Complex64::ZERO; p.nkz * geom.e_halo.len() * aw_len * nn],
-        ];
-        for (src, buf) in recvd.iter().enumerate() {
-            unpack_g_halo(p, gf_dec.energy.range(src), &geom, buf, &mut g_local, nn);
-        }
-        // ---- All-to-all #2: D̃≷ for my atom window. ----
-        let mut sendbufs: Vec<Vec<Complex64>> = Vec::with_capacity(procs);
-        for dst in 0..procs {
-            let (_, dj) = dec.coords(dst);
-            let dst_a = atom_window_exact(&dec, dj, halo, p.na);
-            let mut buf = Vec::new();
-            for d in [ctx.d_lesser_pre, ctx.d_greater_pre] {
-                for q in 0..p.nqz {
-                    for w in 0..p.nw {
-                        if gf_dec.d_owner(p, q, w) != rank {
-                            continue;
-                        }
-                        for a in dst_a.clone() {
-                            buf.extend_from_slice(d.inner(&[q, w, a]));
-                        }
-                    }
-                }
-            }
-            sendbufs.push(buf);
-        }
-        let recvd = comm.alltoallv(sendbufs, 2);
-        let d_len = p.nb * N3D * N3D;
-        let mut d_local = [
-            vec![Complex64::ZERO; p.nqz * p.nw * aw_len * d_len],
-            vec![Complex64::ZERO; p.nqz * p.nw * aw_len * d_len],
-        ];
-        for (src, buf) in recvd.iter().enumerate() {
-            let mut pos = 0;
-            for tensor in &mut d_local {
-                for q in 0..p.nqz {
-                    for w in 0..p.nw {
-                        if gf_dec.d_owner(p, q, w) != src {
-                            continue;
-                        }
-                        for al in 0..aw_len {
-                            let off = ((q * p.nw + w) * aw_len + al) * d_len;
-                            tensor[off..off + d_len].copy_from_slice(&buf[pos..pos + d_len]);
-                            pos += d_len;
-                        }
-                    }
-                }
-            }
-            assert_eq!(pos, buf.len());
-        }
-        // ---- Local SSE over my (energy tile × atom tile). ----
-        let sig = local_sse_tile(ctx, &geom, &g_local, &d_local, scale, &|| {});
-        // Partial Π≷ over this rank's (energy tile × atom tile), reduced to
-        // the (q, ω) owners. All inputs are already local: the E+ω reads sit
-        // in the upper energy halo and the neighbor atoms in the window.
-        let d_len = (p.nb + 1) * N3D * N3D;
-        let pi_scale = c64(sse::pi_scale(p, ctx.grids), 0.0);
-        let my_a = geom.my_a.clone();
-        let mut pi_owned: PiOwned = Vec::new();
-        for q in 0..p.nqz {
-            for w in 0..p.nw {
-                // Tile-local partials: contributions exist only for the
-                // rank's own atom tile, so only that slice travels — the
-                // (NA/TA + NB)·NB·N3D² term of §4.1's DaCe formula.
-                let (part_l, part_g) = pi_tile_partials(ctx, &geom, &g_local, q, w, &|| {});
-                let owner = gf_dec.d_owner(p, q, w);
-                let tag = (1 << 45) | ((q * p.nw + w) as u64 * 2);
-                // Send only the tile slice to the owner.
-                let slice = |buf: &[Complex64]| buf[my_a.start * d_len..my_a.end * d_len].to_vec();
-                comm.send(owner, tag, slice(&part_l));
-                comm.send(owner, tag + 1, slice(&part_g));
-                if rank == owner {
-                    let mut tot_l = vec![Complex64::ZERO; p.na * d_len];
-                    let mut tot_g = vec![Complex64::ZERO; p.na * d_len];
-                    for src in 0..dec.procs() {
-                        let (_, sj) = dec.coords(src);
-                        let src_a = dec.atoms.range(sj);
-                        let rl = comm.recv(src, tag);
-                        let rg = comm.recv(src, tag + 1);
-                        for (dst, part) in [(&mut tot_l, rl), (&mut tot_g, rg)] {
-                            for (o, v) in dst[src_a.start * d_len..src_a.end * d_len]
-                                .iter_mut()
-                                .zip(part)
-                            {
-                                *o += v;
-                            }
-                        }
-                    }
-                    let fin = |mut v: Vec<Complex64>| {
-                        for z in v.iter_mut() {
-                            *z *= pi_scale;
-                        }
-                        v
-                    };
-                    pi_owned.push(((q, w), fin(tot_l), fin(tot_g)));
-                }
-            }
-        }
-        comm.barrier();
-        // Capture SSE-phase traffic before the result gather adds its own
-        // bytes; the second barrier keeps the snapshot consistent.
-        let stats = (comm.bytes_sent(), comm.bytes_received());
-        comm.barrier();
-        // Gather tiles to root.
-        if rank == 0 {
-            let mut out = ElectronSelfEnergy::zeros(p);
-            for src in 0..procs {
-                let (si, sj) = dec.coords(src);
-                let src_e = dec.energy.range(si);
-                let src_a = dec.atoms.range(sj);
-                let bufs = if src == 0 {
-                    [sig[0].clone(), sig[1].clone()]
-                } else {
-                    [comm.recv(src, 1 << 50), comm.recv(src, (1 << 50) + 1)]
-                };
-                for (t, buf) in bufs.iter().enumerate() {
-                    let tensor = if t == 0 {
-                        &mut out.lesser
-                    } else {
-                        &mut out.greater
-                    };
-                    for k in 0..p.nkz {
-                        for (el, e) in src_e.clone().enumerate() {
-                            for (al, a) in src_a.clone().enumerate() {
-                                let off = ((k * src_e.len() + el) * src_a.len() + al) * nn;
-                                tensor
-                                    .inner_mut(&[k, e, a])
-                                    .copy_from_slice(&buf[off..off + nn]);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut pi_out = PhononSelfEnergy::zeros(p);
-            let store =
-                |pi_out: &mut PhononSelfEnergy,
-                 (qw, l, g): ((usize, usize), Vec<Complex64>, Vec<Complex64>)| {
-                    let (q, w) = qw;
-                    pi_out.lesser.inner_mut(&[q, w]).copy_from_slice(&l);
-                    pi_out.greater.inner_mut(&[q, w]).copy_from_slice(&g);
-                };
-            for entry in pi_owned {
-                store(&mut pi_out, entry);
-            }
-            for src in 1..procs {
-                let count = comm.recv(src, 1 << 52)[0].re as usize;
-                for _ in 0..count {
-                    let head = comm.recv(src, (1 << 52) + 1);
-                    let (q, w) = (head[0].re as usize, head[1].re as usize);
-                    let l = comm.recv(src, (1 << 52) + 2);
-                    let g = comm.recv(src, (1 << 52) + 3);
-                    store(&mut pi_out, ((q, w), l, g));
-                }
-            }
-            (Some((out, pi_out)), stats)
-        } else {
-            comm.send(0, 1 << 50, sig[0].clone());
-            comm.send(0, (1 << 50) + 1, sig[1].clone());
-            comm.send(0, 1 << 52, vec![c64(pi_owned.len() as f64, 0.0)]);
-            for ((q, w), l, g) in pi_owned {
-                comm.send(
-                    0,
-                    (1 << 52) + 1,
-                    vec![c64(q as f64, 0.0), c64(w as f64, 0.0)],
-                );
-                comm.send(0, (1 << 52) + 2, l);
-                comm.send(0, (1 << 52) + 3, g);
-            }
-            (None, stats)
-        }
-    }
-}
-
 /// Atom window using the device's exact neighbor-index halo.
 fn atom_window_exact(dec: &DaceDecomp, j: usize, halo: usize, na: usize) -> std::ops::Range<usize> {
     let r = dec.atoms.range(j);
     r.start.saturating_sub(halo)..(r.end + halo).min(na)
 }
 
-/// The geometry of one `(TE, TA)` tile — the shared vocabulary of the
-/// classic and elastic DaCe paths, so both compute bitwise-identical tiles.
+/// The geometry of one `(TE, TA)` work unit's tile. It depends only on the
+/// unit id, never on which rank computes it, so a unit that migrates or is
+/// stolen computes a bitwise-identical tile.
 #[derive(Clone)]
 struct TileGeom {
     /// Energy rows including the ±Nω sideband halo.
@@ -784,7 +562,7 @@ fn unpack_g_halo(
 /// `g_local`/`d_local` in the tile's window layout and returns
 /// `sig[tensor][k][e_local][a_local][nn]`. `hb` is invoked per outer
 /// iteration so a long compute keeps announcing liveness to the failure
-/// detector (the classic path passes a no-op).
+/// detector.
 fn local_sse_tile(
     ctx: &SseDistContext<'_>,
     geom: &TileGeom,
@@ -934,7 +712,7 @@ fn pi_tile_partials(
 }
 
 // ---------------------------------------------------------------------------
-// Elastic DaCe scheme: the CA tiling over an arbitrary survivor set.
+// The CA (DaCe) scheme: the energy×atom tiling over an arbitrary survivor set.
 // ---------------------------------------------------------------------------
 
 /// Message tags for the unrolled elastic collectives. Each logical channel
@@ -1479,67 +1257,53 @@ fn steal_compute_phase(
 /// supervisor then simply retries on the unchanged tiling.
 pub type ElasticExchange = Result<(ElectronSelfEnergy, PhononSelfEnergy, CommStats), Vec<usize>>;
 
-/// Run the DaCe CA scheme over the survivors of `tiling`. With the full
-/// tiling this produces *bitwise identical* Σ≷/Π≷ to [`dace_scheme`]; after
-/// deaths, each survivor executes every work unit the tiling assigns to it,
-/// so the answer stays bitwise stable across any survivor set.
+/// Run the CA scheme over the survivors of `tiling` with the default
+/// policy (no stealing, no fault plan) and the given failure detector.
 pub fn elastic_sse_exchange(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
     live: &LivenessConfig,
 ) -> ElasticExchange {
-    elastic_sse_exchange_opts(ctx, tiling, live, false)
+    elastic_sse_exchange_with(
+        ctx,
+        tiling,
+        &ElasticPolicy {
+            live: *live,
+            ..Default::default()
+        },
+    )
 }
 
-/// [`elastic_sse_exchange`] with intra-iteration work stealing switchable.
-/// With `steal` on, idle survivors request unstarted units from stragglers
-/// over the comm world; the Σ≷/Π≷ observables stay bitwise identical (the
-/// stolen tile is computed by the same kernel on the same buffers and its
-/// results are forwarded under the victim's slot), but the measured byte
-/// counts gain the steal traffic, so the exact volume models only apply
-/// with stealing off.
-pub fn elastic_sse_exchange_opts(
+/// Run the CA scheme over the survivors of `tiling`. Each survivor
+/// executes every work unit the tiling assigns to it, so the answer is
+/// bitwise stable across any survivor set, weighting or steal pattern.
+///
+/// With `policy.steal`, idle survivors request unstarted units from
+/// stragglers; the stolen tile is computed by the same kernel on the same
+/// buffers and its results are forwarded under the victim's slot, so the
+/// Σ≷/Π≷ observables do not change, but the measured byte counts gain the
+/// steal traffic and the exact volume models only apply with stealing off.
+/// With `policy.faults` (feature `fault-inject`), the world runs under
+/// that deterministic fault plan: message drops, corruption and delays
+/// ride the reliable-delivery layer, and scheduled kills surface as the
+/// dead ranks in the `Err` list.
+pub fn elastic_sse_exchange_with(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    steal: bool,
+    policy: &ElasticPolicy,
 ) -> ElasticExchange {
     let _span = qt_telemetry::Span::enter_global("comm/elastic_scheme");
-    let results = run_elastic_world(tiling.survivors.clone(), |comm: ThreadComm| {
-        elastic_rank_body(ctx, tiling, live, steal, comm)
-    });
-    collect_elastic(tiling, results)
-}
-
-/// [`elastic_sse_exchange`] on a world carrying a deterministic fault plan
-/// (drops/corruption/delays *and* kill schedules).
-#[cfg(feature = "fault-inject")]
-pub fn elastic_sse_exchange_with_faults(
-    ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    plan: crate::fault::FaultPlan,
-) -> ElasticExchange {
-    elastic_sse_exchange_with_faults_opts(ctx, tiling, live, plan, false)
-}
-
-/// [`elastic_sse_exchange_with_faults`] with work stealing switchable; a
-/// victim or thief killed mid-protocol surfaces as a typed death and the
-/// supervisor degrades to the elastic re-tiling path.
-#[cfg(feature = "fault-inject")]
-pub fn elastic_sse_exchange_with_faults_opts(
-    ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    plan: crate::fault::FaultPlan,
-    steal: bool,
-) -> ElasticExchange {
-    let _span = qt_telemetry::Span::enter_global("comm/elastic_scheme_faulty");
-    let results =
-        crate::comm::run_elastic_world_with_faults(tiling.survivors.clone(), plan, |comm| {
-            elastic_rank_body(ctx, tiling, live, steal, comm)
-        });
-    collect_elastic(tiling, results)
+    let body = |comm| elastic_rank_body(ctx, tiling, policy, comm);
+    #[cfg(feature = "fault-inject")]
+    if let Some(plan) = &policy.faults {
+        let results = crate::comm::run_elastic_world_with_faults(
+            tiling.survivors.clone(),
+            plan.clone(),
+            body,
+        );
+        return collect_elastic(tiling, results);
+    }
+    collect_elastic(tiling, run_elastic_world(tiling.survivors.clone(), body))
 }
 
 fn collect_elastic(
@@ -1605,9 +1369,9 @@ fn collect_elastic(
     Err(suspects)
 }
 
-/// One survivor's share of the elastic DaCe scheme. The rank executes every
-/// work unit `tiling` assigns to its original identity, replaying the
-/// classic per-tile protocol per unit; the collectives are unrolled into
+/// One survivor's share of the CA scheme. The rank executes every work
+/// unit `tiling` assigns to its original identity, running the per-tile
+/// protocol once per unit; the collectives are unrolled into
 /// explicit point-to-point messages walked in one canonical global order
 /// (lexicographic in the unit ids), so any subset of survivors agrees on
 /// per-pair FIFO delivery and the strict tag asserts hold. Every wait goes
@@ -1616,10 +1380,10 @@ fn collect_elastic(
 fn elastic_rank_body(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    steal: bool,
+    policy: &ElasticPolicy,
     comm: ThreadComm,
 ) -> Result<ElasticRankOut, CommError> {
+    let live = &policy.live;
     let p = ctx.p;
     let nn = p.norb * p.norb;
     let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
@@ -1633,8 +1397,7 @@ fn elastic_rank_body(
     let geoms: Vec<TileGeom> = (0..procs).map(|u| tile_geom(dec, p, halo, u)).collect();
     let hb = || comm.heartbeat();
     // ---- Exchange #1 (unrolled all-to-all): G≷ halos per (src GF chunk,
-    // dst tile) pair. Self-sends ride the self-channel for free, exactly
-    // like the classic alltoallv.
+    // dst tile) pair. Self-sends ride the self-channel for free.
     for &u_src in &my_units {
         let chunk = gf_dec.energy.range(u_src);
         for (u_dst, geom) in geoms.iter().enumerate() {
@@ -1728,7 +1491,7 @@ fn elastic_rank_body(
         d_local: &d_local,
         scale,
     };
-    let (outs, busy_secs, steal_requests, stolen_units) = if steal && comm.size() > 1 {
+    let (outs, busy_secs, steal_requests, stolen_units) = if policy.steal && comm.size() > 1 {
         steal_compute_phase(&env, &comm, live)?
     } else {
         let mut outs = Vec::with_capacity(my_units.len());
@@ -1756,8 +1519,8 @@ fn elastic_rank_body(
         .map(|(&u, o)| (u, o.secs))
         .collect();
     // ---- Π≷ partials, reduced to each (q, ω) owner. The owner accumulates
-    // in ascending *unit* order — the same order the classic scheme uses
-    // for its ascending ranks, so the totals are bitwise identical. ----
+    // in ascending *unit* order, whichever survivor computed each unit, so
+    // the totals are bitwise identical across tilings. ----
     let pi_len = (p.nb + 1) * N3D * N3D;
     let pi_scale = c64(sse::pi_scale(p, ctx.grids), 0.0);
     let mut pi_owned: PiOwned = Vec::new();
@@ -2040,12 +1803,23 @@ mod tests {
         }
     }
 
+    /// The CA exchange over the full tiling (every rank owns its own unit).
+    fn full_world(
+        fx: &Fx,
+        te: usize,
+        ta: usize,
+    ) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
+        let tiling = ElasticTiling::new(&fx.p, te, ta);
+        elastic_sse_exchange(&ctx(fx), &tiling, &LivenessConfig::default())
+            .expect("fault-free run succeeds")
+    }
+
     #[test]
-    fn dace_scheme_matches_serial() {
+    fn elastic_full_world_matches_serial() {
         let fx = fixture();
         let (serial, serial_pi) = serial_results(&fx);
         for (te, ta) in [(1usize, 2usize), (2, 2), (3, 2), (2, 3)] {
-            let (dist, dist_pi, stats) = dace_scheme(&ctx(&fx), te, ta);
+            let (dist, dist_pi, stats) = full_world(&fx, te, ta);
             assert_close("sigma lesser", &serial.lesser, &dist.lesser);
             assert_close("sigma greater", &serial.greater, &dist.greater);
             assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
@@ -2058,7 +1832,7 @@ mod tests {
     fn dace_moves_less_data() {
         let fx = fixture();
         let (_, _, omen_stats) = omen_scheme(&ctx(&fx), 4);
-        let (_, _, dace_stats) = dace_scheme(&ctx(&fx), 2, 2);
+        let (_, _, dace_stats) = full_world(&fx, 2, 2);
         // Even at this tiny scale the all-to-all redistribution must beat
         // the per-round replication of G.
         assert!(
@@ -2095,13 +1869,14 @@ mod tests {
         let fx = fixture();
         let halo = fx.dev.max_neighbor_index_distance();
         for (te, ta) in [(1usize, 2usize), (2, 2), (3, 2), (2, 3)] {
-            let (_, _, stats) = dace_scheme(&ctx(&fx), te, ta);
-            let model = crate::volume::dace_rank_sent_bytes(&fx.p, te, ta, halo);
+            let (_, _, stats) = full_world(&fx, te, ta);
+            let tiling = ElasticTiling::new(&fx.p, te, ta);
+            let model = crate::volume::dace_elastic_rank_sent_bytes(&fx.p, halo, &tiling);
             assert_eq!(stats.rank_sent, model, "te={te} ta={ta}");
             assert_eq!(stats.rank_sent.iter().sum::<u64>(), stats.world_bytes);
             assert_eq!(
                 stats.world_bytes,
-                crate::volume::dace_measured_bytes(&fx.p, te, ta, halo)
+                crate::volume::dace_elastic_measured_bytes(&fx.p, halo, &tiling)
             );
         }
     }
@@ -2113,23 +1888,6 @@ mod tests {
                 x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
                 "{name}: element {i} differs: {x:?} vs {y:?}"
             );
-        }
-    }
-
-    #[test]
-    fn elastic_full_world_is_bitwise_equal_to_classic_dace() {
-        let fx = fixture();
-        let live = LivenessConfig::default();
-        for (te, ta) in [(2usize, 2usize), (3, 2)] {
-            let (classic, classic_pi, classic_stats) = dace_scheme(&ctx(&fx), te, ta);
-            let tiling = ElasticTiling::new(&fx.p, te, ta);
-            let (dist, dist_pi, stats) =
-                elastic_sse_exchange(&ctx(&fx), &tiling, &live).expect("fault-free run succeeds");
-            assert_bitwise("sigma lesser", &classic.lesser, &dist.lesser);
-            assert_bitwise("sigma greater", &classic.greater, &dist.greater);
-            assert_bitwise("pi lesser", &classic_pi.lesser, &dist_pi.lesser);
-            assert_bitwise("pi greater", &classic_pi.greater, &dist_pi.greater);
-            assert_eq!(stats.rank_sent, classic_stats.rank_sent, "te={te} ta={ta}");
         }
     }
 
@@ -2187,21 +1945,25 @@ mod tests {
     #[test]
     fn stealing_terminates_and_matches_bitwise() {
         let fx = skewed_fixture();
-        let live = LivenessConfig::default();
         let (te, ta) = (2usize, 2usize);
-        let (classic, classic_pi, _) = dace_scheme(&ctx(&fx), te, ta);
+        // Reference: the uniform tiling without stealing.
+        let (base, base_pi, _) = full_world(&fx, te, ta);
         // All-zero weights collapse every unit onto rank 0: three ranks
         // start idle and must pull their work through the steal protocol.
         let tiling = ElasticTiling::weighted(&fx.p, te, ta, te * ta, &[0.0; 4]);
         assert_eq!(tiling.units_of(0).len(), te * ta);
+        let policy = ElasticPolicy {
+            steal: true,
+            ..Default::default()
+        };
         let mut stole = 0u64;
         for _ in 0..5 {
             let (dist, dist_pi, stats) =
-                elastic_sse_exchange_opts(&ctx(&fx), &tiling, &live, true).unwrap();
-            assert_bitwise("sigma lesser", &classic.lesser, &dist.lesser);
-            assert_bitwise("sigma greater", &classic.greater, &dist.greater);
-            assert_bitwise("pi lesser", &classic_pi.lesser, &dist_pi.lesser);
-            assert_bitwise("pi greater", &classic_pi.greater, &dist_pi.greater);
+                elastic_sse_exchange_with(&ctx(&fx), &tiling, &policy).unwrap();
+            assert_bitwise("sigma lesser", &base.lesser, &dist.lesser);
+            assert_bitwise("sigma greater", &base.greater, &dist.greater);
+            assert_bitwise("pi lesser", &base_pi.lesser, &dist_pi.lesser);
+            assert_bitwise("pi greater", &base_pi.greater, &dist_pi.greater);
             let bal = stats.balance.expect("balance measured");
             assert!(bal.steal_requests >= bal.stolen_units);
             // Every unit cost is attributed, wherever the unit ran.

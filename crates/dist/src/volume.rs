@@ -13,7 +13,7 @@
 //! unit tests below check every cell.
 
 use crate::comm::ELEM_BYTES;
-use crate::decomp::{DaceDecomp, OmenDecomp};
+use crate::decomp::OmenDecomp;
 use qt_core::params::{SimParams, N3D};
 
 const TIB: f64 = (1u64 << 40) as f64;
@@ -142,67 +142,17 @@ pub fn omen_measured_bytes(p: &SimParams, procs: usize) -> u64 {
     omen_rank_sent_bytes(p, procs).iter().sum()
 }
 
-/// Exact bytes each rank sends during [`crate::schemes::dace_scheme`]'s SSE
-/// exchange: the `G≷` all-to-all (energy-halo ∩ owned-energies overlap ×
-/// destination atom window), the `D̃≷` all-to-all (owned `(qz, ω)` points ×
-/// destination atom window), and the per-round `Π≷` tile-slice reduction.
-/// `halo` is the device's exact neighbor-index distance
-/// (`Device::max_neighbor_index_distance`).
-pub fn dace_rank_sent_bytes(p: &SimParams, te: usize, ta: usize, halo: usize) -> Vec<u64> {
-    let procs = te * ta;
-    let dec = DaceDecomp::new(p, te, ta);
-    let gf = OmenDecomp::new(p, procs);
-    let nn = (p.norb * p.norb) as u64;
-    let d_len = (p.nb * N3D * N3D) as u64;
-    let pi_len = ((p.nb + 1) * N3D * N3D) as u64;
-    let a_win = |j: usize| {
-        let r = dec.atoms.range(j);
-        r.start.saturating_sub(halo)..(r.end + halo).min(p.na)
-    };
-    let mut sent = vec![0u64; procs];
-    for (r, s) in sent.iter_mut().enumerate() {
-        let my_e = gf.energy.range(r);
-        let owned_qw = (0..p.nqz * p.nw)
-            .filter(|&i| gf.d_owner(p, i / p.nw, i % p.nw) == r)
-            .count() as u64;
-        for dst in 0..procs {
-            if dst == r {
-                continue;
-            }
-            let (di, dj) = dec.coords(dst);
-            let dst_e = dec.energy_halo(di, p.nw);
-            let overlap = my_e.clone().filter(|e| dst_e.contains(e)).count() as u64;
-            let aw = a_win(dj).len() as u64;
-            // All-to-all #1: G≷ tiles with halos.
-            *s += 2 * overlap * p.nkz as u64 * aw * nn;
-            // All-to-all #2: D̃≷ for the destination's atom window.
-            *s += 2 * owned_qw * aw * d_len;
-        }
-        // Π≷ tile-slice reduction: one slice per non-owned (qz, ω) round.
-        let (_, rj) = dec.coords(r);
-        let tile = dec.atoms.range(rj).len() as u64;
-        let not_owned = (p.nqz * p.nw) as u64 - owned_qw;
-        *s += 2 * not_owned * tile * pi_len;
-    }
-    for b in &mut sent {
-        *b *= ELEM_BYTES;
-    }
-    sent
-}
-
-/// Total DaCe SSE bytes actually moved (sum of [`dace_rank_sent_bytes`]).
-pub fn dace_measured_bytes(p: &SimParams, te: usize, ta: usize, halo: usize) -> u64 {
-    dace_rank_sent_bytes(p, te, ta, halo).iter().sum()
-}
-
-/// Exact bytes each *survivor slot* sends during
-/// [`crate::schemes::elastic_sse_exchange`] over an arbitrary
-/// [`ElasticTiling`]. The elastic scheme replays the classic per-unit
-/// protocol with the collectives unrolled to point-to-point messages, so
-/// the model is the classic per-unit accounting re-keyed by *owning slot*:
-/// a message is free exactly when the source and destination units live on
-/// the same survivor. With the full tiling this reduces to
-/// [`dace_rank_sent_bytes`].
+/// Exact bytes each *survivor slot* sends during the CA scheme's SSE
+/// exchange ([`crate::schemes::elastic_sse_exchange`], stealing off) over
+/// an arbitrary [`ElasticTiling`]: the `G≷` all-to-all (energy-halo ∩
+/// owned-energies overlap × destination atom window), the `D̃≷` all-to-all
+/// (owned `(qz, ω)` points × destination atom window), and the per-round
+/// `Π≷` tile-slice reduction. The collectives are unrolled to per-unit
+/// point-to-point messages, so a message is free exactly when the source
+/// and destination units live on the same survivor. `halo` is the device's
+/// exact neighbor-index distance (`Device::max_neighbor_index_distance`).
+///
+/// [`ElasticTiling`]: crate::decomp::ElasticTiling
 pub fn dace_elastic_rank_sent_bytes(
     p: &SimParams,
     halo: usize,
@@ -403,28 +353,14 @@ mod tests {
         let (te, ta) = (3, 64);
         // Paper device: nearest-neighbor slabs → halo of about NB/2 atoms;
         // use NB as a conservative window.
-        let measured = dace_measured_bytes(&p, te, ta, p.nb) as f64;
+        let tiling = crate::decomp::ElasticTiling::new(&p, te, ta);
+        let measured = dace_elastic_measured_bytes(&p, p.nb, &tiling) as f64;
         let asymptotic = dace_total_bytes(&p, te, ta);
         let ratio = measured / asymptotic;
         assert!(
             ratio > 0.4 && ratio < 1.1,
             "DaCe exact/asymptotic ratio {ratio}"
         );
-    }
-
-    /// With every rank alive the elastic model must agree with the classic
-    /// per-rank model byte-for-byte, for every tiling shape.
-    #[test]
-    fn elastic_model_reduces_to_classic_at_full_world() {
-        let p = SimParams::paper_si_4864(3);
-        for (te, ta) in [(3usize, 16usize), (3, 64), (6, 32)] {
-            let tiling = crate::decomp::ElasticTiling::new(&p, te, ta);
-            assert_eq!(
-                dace_elastic_rank_sent_bytes(&p, p.nb, &tiling),
-                dace_rank_sent_bytes(&p, te, ta, p.nb),
-                "te={te} ta={ta}"
-            );
-        }
     }
 
     /// Killing a rank moves its units' traffic onto survivors without

@@ -65,10 +65,10 @@ fn check_removal(tiling: &mut ElasticTiling, dead: usize) {
             .collect::<Vec<_>>(),
         "exactly the dead rank's units migrate"
     );
-    for u in 0..before.len() {
-        if before[u] != dead {
+    for (u, &was) in before.iter().enumerate() {
+        if was != dead {
             assert_eq!(
-                tiling.owner[u], before[u],
+                tiling.owner[u], was,
                 "unit {u} owned by a survivor must not move"
             );
         }

@@ -512,7 +512,7 @@ fn finish_point(
 /// and the probe shares no solver state with the SCF path.
 #[cfg(feature = "fault-inject")]
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
-    use qt_dist::{distributed_iteration_elastic_with_faults, ElasticPolicy, FaultPlan};
+    use qt_dist::{distributed_iteration_elastic, ElasticPolicy, FaultPlan};
     let procs = shared.cfg.pool_slots.max(2);
     let (te, ta) = if procs.is_multiple_of(2) {
         (2, procs / 2)
@@ -521,10 +521,10 @@ fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
     };
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
+        faults: Some(FaultPlan::new(42).with_kill_at(victim % procs, 3)),
         ..Default::default()
     };
-    let plan = FaultPlan::new(42).with_kill_at(victim % procs, 3);
-    match distributed_iteration_elastic_with_faults(
+    match distributed_iteration_elastic(
         &vr.sim.p,
         &vr.sim.dev,
         &vr.sim.em,
@@ -534,7 +534,6 @@ fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
         te,
         ta,
         &policy,
-        plan,
     ) {
         Ok(out) => {
             if !out.deaths.is_empty() {

@@ -203,7 +203,7 @@ mod tests {
         store.deposit(0.5, seed());
         assert_eq!(store.len(), 3, "store must stay at capacity");
         assert!(
-            qt_telemetry::counters::total_service_warm_evicted() >= before + 1,
+            qt_telemetry::counters::total_service_warm_evicted() > before,
             "eviction must be counted"
         );
         let biases = store.biases();

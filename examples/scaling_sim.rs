@@ -124,7 +124,9 @@ fn main() {
             4 => (2, 2),
             _ => (3, 2),
         };
-        let (sig_d, _, sd) = dace_scheme(&ctx, te, ta);
+        let tiling = ElasticTiling::new(&p, te, ta);
+        let (sig_d, _, sd) =
+            elastic_sse_exchange(&ctx, &tiling, &LivenessConfig::default()).expect("no faults");
         let agree = sig_o.lesser.max_abs_diff(&sig_d.lesser) / sig_o.lesser.norm().max(1e-30);
         println!(
             "  {:>6} | {:>12} | {:>12} | {:>7.1}x   (results agree to {agree:.1e})",

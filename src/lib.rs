@@ -43,8 +43,9 @@ pub mod prelude {
         ScfResult, Simulation, WarmStart,
     };
     pub use qt_core::sse::{self, SseVariant};
-    pub use qt_dist::schemes::{dace_scheme, omen_scheme, SseDistContext};
+    pub use qt_dist::schemes::{elastic_sse_exchange, omen_scheme, SseDistContext};
     pub use qt_dist::volume;
+    pub use qt_dist::{ElasticTiling, LivenessConfig};
     pub use qt_linalg::{c64, Complex64, Matrix, Tensor};
     pub use qt_model::{optimal_tiling, predict, Variant, PIZ_DAINT, SUMMIT};
     pub use qt_sdfg::library as sdfg_library;

@@ -88,7 +88,9 @@ fn distributed_sse_agrees_with_serial_through_facade() {
         d_greater_pre: &dg,
     };
     let (omen_sig, omen_pi, omen_stats) = omen_scheme(&ctx, 3);
-    let (dace_sig, dace_pi, dace_stats) = dace_scheme(&ctx, 2, 2);
+    let tiling = ElasticTiling::new(&p, 2, 2);
+    let (dace_sig, dace_pi, dace_stats) =
+        elastic_sse_exchange(&ctx, &tiling, &LivenessConfig::default()).expect("no faults");
     let norm = serial.lesser.norm().max(1e-30);
     assert!(serial.lesser.max_abs_diff(&omen_sig.lesser) / norm < 1e-10);
     assert!(serial.lesser.max_abs_diff(&dace_sig.lesser) / norm < 1e-10);
