@@ -28,6 +28,7 @@ use qt_core::sse::{self, SseVariant};
 use qt_dist::volume;
 use qt_model::scaling::{self, Variant};
 use qt_model::{optimal_tiling, PIZ_DAINT, SUMMIT};
+use qt_telemetry::counters::{self, Counter};
 use std::time::Instant;
 
 /// With `count-alloc`, every heap allocation of this binary flows into the
@@ -576,11 +577,11 @@ fn table6_cmd(flags: &[String]) {
         println!(
             "  report written to {path} (selections: {} sparse / {} dense, {} switches; \
              measured sparse {:.1} ms vs predicted {:.1} ms)",
-            k.sparse_selected,
-            k.dense_selected,
-            k.switches,
-            k.sparse_secs * 1e3,
-            k.predicted_sparse_secs * 1e3
+            k.counters[Counter::KernelSparseSelected],
+            k.counters[Counter::KernelDenseSelected],
+            k.counters[Counter::KernelSwitches],
+            k.counters[Counter::KernelSparseNs] as f64 / 1e6,
+            k.counters[Counter::KernelSparsePredNs] as f64 / 1e6
         );
     }
 
@@ -777,7 +778,7 @@ fn fig1d() {
 /// export.
 fn profile(flags: &[String]) {
     use qt_core::checkpoint::{CheckpointConfig, ScfCheckpoint};
-    use qt_core::scf::{run_scf_resumable, ScfConfig, Simulation};
+    use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, Simulation};
     use qt_telemetry::report::{ConvergencePoint, ModelResidual, RankComm};
 
     let mut trace_path: Option<String> = None;
@@ -871,7 +872,12 @@ fn profile(flags: &[String]) {
         println!("  resuming SCF from {path} at iteration {}", ck.iteration);
         ck
     });
-    let out = run_scf_resumable(&sim, &cfg, ckpt_cfg.as_ref(), resume).expect("SCF");
+    let opts = ScfOptions {
+        ckpt: ckpt_cfg.as_ref(),
+        resume,
+        ..Default::default()
+    };
+    let out = run_scf_with(&sim, &cfg, opts).expect("SCF");
     println!(
         "  SCF: {} iterations, converged={}, I={:.4e}",
         out.iterations,
@@ -1143,24 +1149,28 @@ fn profile(flags: &[String]) {
     }
     println!(
         "  boundary cache: {} hits, {} misses",
-        rep.boundary_cache_hits, rep.boundary_cache_misses
+        rep.totals[Counter::BoundaryHits],
+        rep.totals[Counter::BoundaryMisses]
     );
     if let Some(h) = &rep.health {
         println!(
             "  health: {} quarantined, {} eta retries, {} mixing backoffs, \
              {} comm retries, {} checkpoint writes",
-            h.quarantined_points,
-            h.eta_retries,
-            h.mixing_backoffs,
-            h.comm_retries,
-            h.checkpoint_writes
+            h[Counter::HealthQuarantined],
+            h[Counter::HealthEtaRetries],
+            h[Counter::HealthMixingBackoffs],
+            h[Counter::HealthCommRetries],
+            h[Counter::HealthCheckpointWrites]
         );
     }
     if let Some(e) = &rep.elasticity {
         println!(
             "  elasticity: {} rank deaths, {} heartbeat probe timeouts, \
              {} re-tilings, {} tiles migrated",
-            e.rank_deaths, e.heartbeat_timeouts, e.retile_events, e.migrated_tiles
+            e[Counter::ElasticRankDeaths],
+            e[Counter::ElasticHeartbeatTimeouts],
+            e[Counter::ElasticRetileEvents],
+            e[Counter::ElasticMigratedTiles]
         );
     }
     if let Some(b) = &rep.balance {
@@ -1171,13 +1181,17 @@ fn profile(flags: &[String]) {
         println!(
             "  imbalance ratio (max/mean busy): {:.3} — {} steal requests, \
              {} units stolen, {} re-tilings ({} units moved)",
-            b.imbalance_ratio, b.steal_requests, b.stolen_units, b.rebalance_events, b.moved_units
+            b.imbalance_ratio,
+            b.counters[Counter::BalanceStealRequests],
+            b.counters[Counter::BalanceStolenUnits],
+            b.counters[Counter::BalanceRebalanceEvents],
+            b.counters[Counter::BalanceMovedUnits]
         );
     }
     println!(
         "  totals: {:.3} Gflop counted, {} bytes communicated",
-        rep.total_flops as f64 / 1e9,
-        rep.total_bytes
+        rep.totals[Counter::Flops] as f64 / 1e9,
+        rep.totals[Counter::Bytes]
     );
 
     if let Some(j) = &rep.journal {
@@ -1518,7 +1532,7 @@ fn serve_cmd(flags: &[String]) {
                 qt_telemetry::EventKind::WarmFallback { point, .. } if point == idx as u64
             )
         });
-        if !journaled || qt_telemetry::counters::total_service_warm_fallbacks() == 0 {
+        if !journaled || counters::total(Counter::ServiceWarmFallbacks) == 0 {
             eprintln!("serve FAILED: warm-start degradation was not journaled/counted");
             std::process::exit(1);
         }
@@ -1608,16 +1622,16 @@ fn serve_cmd(flags: &[String]) {
     println!(
         "  service: {} admitted, {} rejected, {} completed, {} failed, {} deadline cancels, \
          {} warm starts ({} fell back), {} retries, {} breaker opens, {} drained",
-        s.admitted,
-        s.rejected,
-        s.completed,
-        s.failed,
-        s.deadline_cancels,
-        s.warm_starts,
-        s.warm_fallbacks,
-        s.retries,
-        s.breaker_opens,
-        s.drained
+        s[Counter::ServiceAdmitted],
+        s[Counter::ServiceRejected],
+        s[Counter::ServiceCompleted],
+        s[Counter::ServiceFailed],
+        s[Counter::ServiceDeadlineCancels],
+        s[Counter::ServiceWarmStarts],
+        s[Counter::ServiceWarmFallbacks],
+        s[Counter::ServiceRetries],
+        s[Counter::ServiceBreakerOpens],
+        s[Counter::ServiceDrained]
     );
     if let Some(path) = &report_path {
         std::fs::write(path, rep.to_json()).expect("write report");
@@ -1991,7 +2005,6 @@ fn scenario_error_tag(e: &qt_scenario::ScenarioError) -> &'static str {
 ///    service run and the golden service record.
 fn corpus_cmd(flags: &[String]) {
     use qt_core::scf::{run_scf_with, ScfOptions};
-    use qt_telemetry::counters;
     use qt_telemetry::json::Json;
 
     let mut dir = "corpus".to_string();
@@ -2164,9 +2177,9 @@ fn corpus_cmd(flags: &[String]) {
                 }
             }
         }
-        counters::add_corpus_scenario_run();
+        counters::add(Counter::CorpusScenariosRun, 1);
         if run_failed {
-            counters::add_corpus_mismatched();
+            counters::add(Counter::CorpusMismatched, 1);
             continue;
         }
 
@@ -2276,9 +2289,9 @@ fn corpus_cmd(flags: &[String]) {
             println!("    golden record written: {}", golden_path.display());
         } else {
             match compare_golden(&name, &golden_path, &points) {
-                Ok(()) => counters::add_corpus_matched(),
+                Ok(()) => counters::add(Counter::CorpusMatched, 1),
                 Err(diffs) => {
-                    counters::add_corpus_mismatched();
+                    counters::add(Counter::CorpusMismatched, 1);
                     failures.extend(diffs);
                 }
             }
@@ -2296,7 +2309,7 @@ fn corpus_cmd(flags: &[String]) {
             let name = built.scenario.name.clone();
             let reference = corpus_service_sweep(built, None, &mut failures);
             let killed = corpus_service_sweep(built, Some(1), &mut failures);
-            qt_telemetry::counters::add_corpus_chaos_rerun();
+            counters::add(Counter::CorpusChaosReruns, 1);
             if reference.len() != killed.len() {
                 failures.push(format!(
                     "{name}: chaos rerun answered {} points, fault-free answered {}",
@@ -2372,7 +2385,7 @@ fn corpus_cmd(flags: &[String]) {
         println!("  report written to {path}");
     }
 
-    let rep = qt_telemetry::report::CorpusReport::from_counters();
+    let c = qt_telemetry::Counts::block(counters::Block::Corpus);
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("corpus FAILED: {f}");
@@ -2381,11 +2394,11 @@ fn corpus_cmd(flags: &[String]) {
     }
     println!(
         "corpus OK: {} built, {} rejected as expected, {} run, {} matched, {} chaos reruns",
-        rep.scenarios_built,
-        rep.scenarios_rejected,
-        rep.scenarios_run,
-        rep.matched,
-        rep.chaos_reruns
+        c[Counter::CorpusScenariosBuilt],
+        c[Counter::CorpusScenariosRejected],
+        c[Counter::CorpusScenariosRun],
+        c[Counter::CorpusMatched],
+        c[Counter::CorpusChaosReruns]
     );
 }
 
@@ -2627,7 +2640,7 @@ fn check_report(flags: &[String]) {
         eprintln!("report FAILED validation: {e}");
         std::process::exit(1);
     }
-    if require_boundary_hits && rep.boundary_cache_hits == 0 {
+    if require_boundary_hits && rep.totals[Counter::BoundaryHits] == 0 {
         eprintln!(
             "report FAILED: boundary_cache_hits is 0 — warm SCF iterations \
              did not reuse memoized contact self-energies"
@@ -2656,7 +2669,8 @@ fn check_report(flags: &[String]) {
             );
             std::process::exit(1);
         };
-        if k.sparse_selected + k.dense_selected == 0 {
+        if k.counters[Counter::KernelSparseSelected] + k.counters[Counter::KernelDenseSelected] == 0
+        {
             eprintln!("report FAILED: kernel_selection block recorded zero decisions");
             std::process::exit(1);
         }
@@ -2669,7 +2683,7 @@ fn check_report(flags: &[String]) {
             );
             std::process::exit(1);
         };
-        if s.admitted == 0 {
+        if s[Counter::ServiceAdmitted] == 0 {
             eprintln!("report FAILED: service block recorded zero admitted requests");
             std::process::exit(1);
         }
@@ -2682,15 +2696,15 @@ fn check_report(flags: &[String]) {
             );
             std::process::exit(1);
         };
-        if c.scenarios_run == 0 {
+        if c[Counter::CorpusScenariosRun] == 0 {
             eprintln!("report FAILED: corpus block recorded zero scenarios executed");
             std::process::exit(1);
         }
-        if c.mismatched > 0 {
+        if c[Counter::CorpusMismatched] > 0 {
             eprintln!(
                 "report FAILED: corpus recorded {} scenario(s) diverging from their \
                  golden records",
-                c.mismatched
+                c[Counter::CorpusMismatched]
             );
             std::process::exit(1);
         }

@@ -23,6 +23,7 @@ use qt_dist::runner::{
     ElasticPolicy,
 };
 use qt_dist::{ElasticTiling, FaultPlan};
+use qt_telemetry::Counter;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -121,7 +122,7 @@ fn faulty_pipeline_reports_health_and_passes_the_gate() {
     rep.validate().expect("report validates");
     let h = rep.health.expect("health block present");
     assert!(
-        h.comm_retries > 0,
+        h[Counter::HealthCommRetries] > 0,
         "chaos plan must be visible as comm retries in the health block"
     );
     let back = qt_telemetry::TelemetryReport::from_json(&rep.to_json()).expect("roundtrip");
@@ -178,9 +179,9 @@ fn killed_rank_recovers_bitwise_exactly() {
     assert!(el.coverage.bad_fraction() <= policy.max_bad_fraction);
     let rep = qt_telemetry::TelemetryReport::from_current();
     let e = rep.elasticity.expect("elasticity block present");
-    assert!(e.rank_deaths >= 1);
-    assert!(e.retile_events >= 1);
-    assert!(e.migrated_tiles as usize >= el.migrated_units);
+    assert!(e[Counter::ElasticRankDeaths] >= 1);
+    assert!(e[Counter::ElasticRetileEvents] >= 1);
+    assert!(e[Counter::ElasticMigratedTiles] as usize >= el.migrated_units);
 }
 
 #[test]

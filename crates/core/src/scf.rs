@@ -18,6 +18,7 @@ use crate::params::SimParams;
 use crate::rgf;
 use crate::sse::{self, SseInputs, SseVariant};
 use qt_linalg::Tensor;
+use qt_telemetry::counters::{self, Counter};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -214,7 +215,7 @@ impl MixingController {
                 let floor = self.base / 64.0;
                 if self.current > floor {
                     self.current = (self.current * 0.5).max(floor);
-                    qt_telemetry::counters::add_mixing_backoff();
+                    counters::add(Counter::HealthMixingBackoffs, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::MixingBackoff {
                         factor: self.current,
                     });
@@ -407,6 +408,12 @@ pub struct ScfOptions<'a> {
     /// drain-only configuration).
     pub ckpt: Option<&'a CheckpointConfig>,
     /// Continue from a previously saved checkpoint instead of `Σ = Π = 0`.
+    /// Resuming restores the mixed self-energies, the previous `G<`
+    /// iterate, both histories and the adaptive-mixing state, so a
+    /// killed-then-resumed run walks the same residual trajectory as an
+    /// uninterrupted one. `ScfResult::iterations` then counts only the
+    /// iterations executed by this call; `residuals`/`current_history`
+    /// cover the whole run.
     pub resume: Option<ScfCheckpoint>,
     /// Seed the Born iteration with converged self-energies from a
     /// neighboring solve. Ignored when `resume` is given (a checkpoint
@@ -444,32 +451,6 @@ pub fn run_scf(sim: &Simulation, cfg: &ScfConfig) -> Result<ScfResult, Numerical
         // structured variant can occur.
         other => unreachable!("SCF error without options: {other}"),
     })
-}
-
-/// [`run_scf`] with optional checkpointing (write a [`ScfCheckpoint`]
-/// every `ckpt.every` iterations) and optional resume (continue from a
-/// previously saved checkpoint instead of `Σ = Π = 0`).
-///
-/// Resuming restores the mixed self-energies, the previous `G<` iterate,
-/// both histories and the adaptive-mixing state, so a killed-then-resumed
-/// run walks the same residual trajectory as an uninterrupted one.
-/// `ScfResult::iterations` counts only the iterations executed by *this*
-/// call; `residuals`/`current_history` cover the whole run.
-pub fn run_scf_resumable(
-    sim: &Simulation,
-    cfg: &ScfConfig,
-    ckpt: Option<&CheckpointConfig>,
-    resume: Option<ScfCheckpoint>,
-) -> Result<ScfResult, ScfError> {
-    run_scf_with(
-        sim,
-        cfg,
-        ScfOptions {
-            ckpt,
-            resume,
-            ..Default::default()
-        },
-    )
 }
 
 /// The full-control SCF entry point: [`run_scf`] plus checkpoint/resume,
@@ -582,17 +563,17 @@ pub fn run_scf_with(
         qt_telemetry::journal::set_iteration(iter as i64);
         qt_telemetry::series::set_series_iteration(iter as i64);
         let iter_t0 = std::time::Instant::now();
-        let alloc0 = qt_telemetry::counters::total_alloc_bytes();
-        let fresh0 = qt_telemetry::counters::total_ws_fresh();
-        let miss0 = qt_telemetry::counters::total_boundary_misses();
-        let quar0 = qt_telemetry::counters::total_quarantined_points();
+        let alloc0 = counters::total(Counter::AllocBytes);
+        let fresh0 = counters::total(Counter::WsFresh);
+        let miss0 = counters::total(Counter::BoundaryMisses);
+        let quar0 = counters::total(Counter::HealthQuarantined);
         let iter_counters = |t0: std::time::Instant| {
             (
                 t0.elapsed().as_secs_f64(),
-                qt_telemetry::counters::total_alloc_bytes() - alloc0,
-                qt_telemetry::counters::total_ws_fresh() - fresh0,
-                qt_telemetry::counters::total_boundary_misses() - miss0,
-                qt_telemetry::counters::total_quarantined_points() - quar0,
+                counters::total(Counter::AllocBytes) - alloc0,
+                counters::total(Counter::WsFresh) - fresh0,
+                counters::total(Counter::BoundaryMisses) - miss0,
+                counters::total(Counter::HealthQuarantined) - quar0,
             )
         };
         iterations += 1;
@@ -829,13 +810,13 @@ mod tests {
             ..Default::default()
         };
         let n_points = (sim.p.nkz * sim.p.ne + sim.p.nqz * sim.p.nw) as u64;
-        let hits0 = qt_telemetry::counters::total_boundary_hits();
+        let hits0 = counters::total(Counter::BoundaryHits);
         let out = run_scf(&sim, &cfg).unwrap();
         assert_eq!(out.iterations, 3);
         // Iterations 2 and 3 replay every contact self-energy from the
         // cache (the counter is global, so other tests can only add hits).
         assert!(
-            qt_telemetry::counters::total_boundary_hits() - hits0 >= 2 * n_points,
+            counters::total(Counter::BoundaryHits) - hits0 >= 2 * n_points,
             "warm iterations must hit the boundary cache"
         );
         // The cache is populated: replay must not recompute.
@@ -878,7 +859,7 @@ mod tests {
             "undamped Born iteration must diverge for this test to bite"
         );
         cfg.adaptive_mixing = true;
-        let backoffs0 = qt_telemetry::counters::total_mixing_backoffs();
+        let backoffs0 = counters::total(Counter::HealthMixingBackoffs);
         let adaptive = run_scf(&boosted_sim(), &cfg).unwrap();
         assert!(
             adaptive.converged,
@@ -889,7 +870,7 @@ mod tests {
             adaptive.trajectory.iter().any(|r| r.mixing < cfg.mixing),
             "trajectory must log the backed-off mixing factors"
         );
-        assert!(qt_telemetry::counters::total_mixing_backoffs() > backoffs0);
+        assert!(counters::total(Counter::HealthMixingBackoffs) > backoffs0);
     }
 
     #[test]
@@ -911,13 +892,29 @@ mod tests {
         };
         let mut cfg_short = cfg;
         cfg_short.max_iterations = 3;
-        run_scf_resumable(&sim(), &cfg_short, Some(&ck_cfg), None).unwrap();
+        run_scf_with(
+            &sim(),
+            &cfg_short,
+            ScfOptions {
+                ckpt: Some(&ck_cfg),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let ck = ScfCheckpoint::load(&path).unwrap();
         assert_eq!(ck.iteration, 3);
         std::fs::remove_file(&path).unwrap();
         // Resume in a fresh process-equivalent (new Simulation, cold
         // boundary cache) and finish the remaining iterations.
-        let resumed = run_scf_resumable(&sim(), &cfg, None, Some(ck)).unwrap();
+        let resumed = run_scf_with(
+            &sim(),
+            &cfg,
+            ScfOptions {
+                resume: Some(ck),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(resumed.residuals.len(), full.residuals.len());
         for (i, (a, b)) in resumed.residuals.iter().zip(&full.residuals).enumerate() {
             assert!(
@@ -952,7 +949,15 @@ mod tests {
             path: path.clone(),
             every: 1,
         };
-        run_scf_resumable(&small, &cfg, Some(&ck_cfg), None).unwrap();
+        run_scf_with(
+            &small,
+            &cfg,
+            ScfOptions {
+                ckpt: Some(&ck_cfg),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let ck = ScfCheckpoint::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         // A live config with a different atom count.
@@ -970,7 +975,15 @@ mod tests {
             -1.2,
             1.2,
         );
-        match run_scf_resumable(&other, &cfg, None, Some(ck)) {
+        let resumed = run_scf_with(
+            &other,
+            &cfg,
+            ScfOptions {
+                resume: Some(ck),
+                ..Default::default()
+            },
+        );
+        match resumed {
             Err(ScfError::ShapeMismatch {
                 source,
                 field,

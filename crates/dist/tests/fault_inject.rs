@@ -15,6 +15,7 @@ use qt_core::params::SimParams;
 use qt_dist::runner::{distributed_iteration_elastic, ElasticIterationResult, ElasticPolicy};
 use qt_dist::{run_world_with_faults, FaultPlan, RetryPolicy};
 use qt_linalg::c64;
+use qt_telemetry::counters::{self, Counter};
 
 fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
     let p = SimParams {
@@ -83,7 +84,7 @@ fn assert_survived_bitwise(reference: &ElasticIterationResult, faulty: &ElasticI
 #[test]
 fn faulty_iteration_matches_fault_free_run() {
     let clean = iteration(None);
-    let retries0 = qt_telemetry::counters::total_comm_retries();
+    let retries0 = counters::total(Counter::HealthCommRetries);
     let faulty = iteration(Some(chaos_plan(2024)));
     // guarantee_delivery retransmits the exact payload, so the results are
     // bitwise identical — well inside the 1e-10 acceptance bound.
@@ -116,7 +117,7 @@ fn faulty_iteration_matches_fault_free_run() {
     // Faults actually fired: the protocol retried, and retransmissions
     // cost extra wire bytes on top of the clean volume.
     assert!(
-        qt_telemetry::counters::total_comm_retries() > retries0,
+        counters::total(Counter::HealthCommRetries) > retries0,
         "chaos plan must trigger retries"
     );
     assert!(

@@ -29,6 +29,7 @@ use qt_core::hamiltonian::Disorder;
 use qt_core::params::SimParams;
 use qt_core::scf::{ScfConfig, Simulation};
 use qt_core::sse::SseVariant;
+use qt_telemetry::counters::{self, Counter};
 
 /// A scenario compiled down to runnable simulation state.
 pub struct BuiltScenario {
@@ -131,11 +132,11 @@ impl Scenario {
 pub fn load(source: &str) -> Result<BuiltScenario, ScenarioError> {
     match Scenario::parse(source).and_then(|s| s.build()) {
         Ok(built) => {
-            qt_telemetry::counters::add_corpus_scenario_built();
+            counters::add(Counter::CorpusScenariosBuilt, 1);
             Ok(built)
         }
         Err(e) => {
-            qt_telemetry::counters::add_corpus_scenario_rejected();
+            counters::add(Counter::CorpusScenariosRejected, 1);
             Err(e)
         }
     }
@@ -314,11 +315,17 @@ biases = [0.0, 0.4]
 
     #[test]
     fn load_accounts_outcomes() {
-        qt_telemetry::reset_all();
+        // `load` counts on the calling thread; the process totals also
+        // see the loads of concurrently running tests.
+        let built0 = counters::local(Counter::CorpusScenariosBuilt);
+        let rejected0 = counters::local(Counter::CorpusScenariosRejected);
         assert!(load(nanowire_doc()).is_ok());
         assert!(load("name = oops").is_err());
-        assert_eq!(qt_telemetry::counters::total_corpus_scenarios_built(), 1);
-        assert_eq!(qt_telemetry::counters::total_corpus_scenarios_rejected(), 1);
+        assert_eq!(counters::local(Counter::CorpusScenariosBuilt) - built0, 1);
+        assert_eq!(
+            counters::local(Counter::CorpusScenariosRejected) - rejected0,
+            1
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-thread sharded counters.
+//! Per-thread sharded counters, declared in one table.
 //!
 //! Every thread that bumps a counter gets its own cache line of atomics,
 //! registered once in a global cell list. Totals are the sum over cells;
@@ -6,114 +6,275 @@
 //! exits (the `qt_dist` thread worlds spawn and join short-lived OS
 //! threads whose traffic must survive into the report).
 //!
+//! Each counter is one row of the `counter_table!` invocation below: its
+//! [`Counter`] variant and doc string, its metric name, and the report
+//! block and key it appears under. The series sample order and codec,
+//! the Prometheus text and the report's counter blocks all iterate
+//! `TABLE`, so adding a counter is adding a row. A bump is one relaxed
+//! `fetch_add` at the compile-time index `Counter as usize`.
+//!
 //! The flop counters here are the backing store for
 //! `qt_linalg::flops::{add_flops, add_gemm_flops_batched, …}` — there is a
 //! single source of truth for flop accounting across the workspace.
 
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-const FLOPS: usize = 0;
-const BYTES: usize = 1;
-const PACK_NS: usize = 2;
-const PACK_CALLS: usize = 3;
-const KERNEL_NS: usize = 4;
-const KERNEL_CALLS: usize = 5;
-const ALLOC_BYTES: usize = 6;
-const ALLOC_COUNT: usize = 7;
-const WS_FRESH: usize = 8;
-const BOUNDARY_HITS: usize = 9;
-const BOUNDARY_MISSES: usize = 10;
-const HEALTH_QUARANTINED: usize = 11;
-const HEALTH_ETA_RETRIES: usize = 12;
-const HEALTH_MIXING_BACKOFFS: usize = 13;
-const HEALTH_COMM_RETRIES: usize = 14;
-const HEALTH_CKPT_WRITES: usize = 15;
-const ELASTIC_RANK_DEATHS: usize = 16;
-const ELASTIC_HEARTBEAT_TIMEOUTS: usize = 17;
-const ELASTIC_RETILE_EVENTS: usize = 18;
-const ELASTIC_MIGRATED_TILES: usize = 19;
-const BALANCE_STEAL_REQUESTS: usize = 20;
-const BALANCE_STOLEN_UNITS: usize = 21;
-const BALANCE_REBALANCE_EVENTS: usize = 22;
-const BALANCE_MOVED_UNITS: usize = 23;
-const JOURNAL_DROPPED: usize = 24;
-const KSEL_SPARSE: usize = 25;
-const KSEL_DENSE: usize = 26;
-const KSEL_SWITCHES: usize = 27;
-const KERNEL_SPARSE_FLOPS: usize = 28;
-const KERNEL_SPARSE_BYTES: usize = 29;
-const KERNEL_DENSE_FLOPS: usize = 30;
-const KERNEL_SPARSE_NS: usize = 31;
-const KERNEL_DENSE_NS: usize = 32;
-const KERNEL_SPARSE_PRED_NS: usize = 33;
-const KERNEL_DENSE_PRED_NS: usize = 34;
-const SERVICE_ADMITTED: usize = 35;
-const SERVICE_REJECTED: usize = 36;
-const SERVICE_COMPLETED: usize = 37;
-const SERVICE_FAILED: usize = 38;
-const SERVICE_DEADLINE_CANCELS: usize = 39;
-const SERVICE_WARM_STARTS: usize = 40;
-const SERVICE_WARM_FALLBACKS: usize = 41;
-const SERVICE_RETRIES: usize = 42;
-const SERVICE_BREAKER_OPENS: usize = 43;
-const SERVICE_DRAINED: usize = 44;
-const SERVICE_WARM_EVICTED: usize = 45;
-const CORPUS_SCENARIOS_BUILT: usize = 46;
-const CORPUS_SCENARIOS_REJECTED: usize = 47;
-const CORPUS_SCENARIOS_RUN: usize = 48;
-const CORPUS_MATCHED: usize = 49;
-const CORPUS_MISMATCHED: usize = 50;
-const CORPUS_CHAOS_RERUNS: usize = 51;
-const N_COUNTERS: usize = 52;
+/// Where a counter appears in the `TelemetryReport` JSON.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Block {
+    /// Not in the report (series and Prometheus only, or read through
+    /// [`gemm_split`]).
+    Unreported,
+    /// A top-level key of the report.
+    Top,
+    /// The `health` block.
+    Health,
+    /// The `elasticity` block.
+    Elasticity,
+    /// The counter fields of the `balance` block.
+    Balance,
+    /// The counter fields of the `kernel_selection` block.
+    KernelSelection,
+    /// The `service` block.
+    Service,
+    /// The `corpus` block.
+    Corpus,
+    /// The `journal` block. Its counter is not sampled into the series and
+    /// is rendered after the series metrics.
+    Journal,
+}
+
+/// One row of the counter table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Row {
+    /// The counter this row declares.
+    pub(crate) counter: Counter,
+    /// Metric name in the series and the Prometheus text (`<block>.<field>`,
+    /// rendered as `qt_<block>_<field>`); `None` for counters read only
+    /// through the report or [`gemm_split`].
+    pub(crate) name: Option<&'static str>,
+    /// The report block the counter appears in, under `key`.
+    pub(crate) block: Block,
+    /// The counter's key inside `block` (empty when unreported).
+    pub(crate) key: &'static str,
+    /// The counter holds nanoseconds; the report shows seconds.
+    pub(crate) secs: bool,
+}
+
+impl Row {
+    /// Is the counter sampled into the metrics series?
+    pub(crate) fn sampled(&self) -> bool {
+        self.name.is_some() && self.block != Block::Journal
+    }
+}
+
+// Row syntax, after the row's doc comment:
+// `Variant ["metric.name"] [=> Block "key" [as secs]];`
+// where `as secs` marks a nanosecond counter the report shows in seconds.
+macro_rules! counter_table {
+    (@name) => { None };
+    (@name $name:literal) => { Some($name) };
+    (@block) => { (Block::Unreported, "") };
+    (@block $block:ident $key:literal) => { (Block::$block, $key) };
+    (@secs) => { false };
+    (@secs secs) => { true };
+    ($(
+        $(#[doc = $doc:literal])+
+        $id:ident $($name:literal)? $(=> $block:ident $key:literal $(as $secs:ident)?)?;
+    )+) => {
+        /// A telemetry counter; its discriminant is its slot in every shard.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $id,)+
+        }
+
+        /// Number of counters.
+        pub(crate) const N_COUNTERS: usize = [$(stringify!($id)),+].len();
+
+        /// Every counter's row, indexed by `Counter as usize`.
+        pub(crate) const TABLE: [Row; N_COUNTERS] = [$(Row {
+            counter: Counter::$id,
+            name: counter_table!(@name $($name)?),
+            block: counter_table!(@block $($block $key)?).0,
+            key: counter_table!(@block $($block $key)?).1,
+            secs: counter_table!(@secs $($($secs)?)?),
+        },)+];
+    };
+}
+
+// Service and corpus rows list each attempt-side counter before its
+// settlement (admitted before completed/failed, warm starts before
+// fallbacks, scenarios run before matched/mismatched): `Counts::read`
+// relies on that order.
+counter_table! {
+    /// Real floating-point operations (8 per complex multiply-add).
+    Flops "flops" => Top "total_flops";
+    /// Communicated bytes.
+    Bytes "bytes" => Top "total_bytes";
+    /// Nanoseconds in blocked-GEMM operand packing (the `gemm.pack` phase).
+    GemmPackNs;
+    /// Timed blocked-GEMM packing sections.
+    GemmPackCalls;
+    /// Nanoseconds in the blocked-GEMM macro kernel (the `gemm.kernel` phase).
+    GemmKernelNs;
+    /// Timed blocked-GEMM macro-kernel sections.
+    GemmKernelCalls;
+    /// Heap bytes allocated (counting global allocator only).
+    AllocBytes "alloc.bytes";
+    /// Heap allocations performed (counting global allocator only).
+    AllocCount "alloc.count";
+    /// Workspace-arena pool misses: a `take` that fell back to a fresh
+    /// heap allocation.
+    WsFresh "ws.fresh";
+    /// Boundary self-energies served from the `BoundaryCache`.
+    BoundaryHits "boundary.cache_hits" => Top "boundary_cache_hits";
+    /// Boundary self-energies computed by full Sancho-Rubio decimation
+    /// (cache miss or bypass).
+    BoundaryMisses "boundary.cache_misses" => Top "boundary_cache_misses";
+    /// `(E, kz)` / `(ω, qz)` grid points quarantined after failing a
+    /// numerical-health check instead of poisoning the iteration.
+    HealthQuarantined "health.quarantined_points" => Health "quarantined_points";
+    /// Eta-bump regularized retries of the Sancho-Rubio decimation.
+    HealthEtaRetries "health.eta_retries" => Health "eta_retries";
+    /// Adaptive-mixing backoffs: the SCF residual grew and the mixing
+    /// factor was halved.
+    HealthMixingBackoffs "health.mixing_backoffs" => Health "mixing_backoffs";
+    /// Communication retries: timed-out or corrupt-and-discarded receives
+    /// and sender-side retransmissions.
+    HealthCommRetries "health.comm_retries" => Health "comm_retries";
+    /// SCF checkpoints written to disk.
+    HealthCheckpointWrites "health.checkpoint_writes" => Health "checkpoint_writes";
+    /// Ranks declared permanently dead by the failure detector or the kill
+    /// schedule.
+    ElasticRankDeaths "elastic.rank_deaths" => Elasticity "rank_deaths";
+    /// Receive polls that expired while the failure detector watched a
+    /// peer's liveness epoch.
+    ElasticHeartbeatTimeouts "elastic.heartbeat_timeouts" => Elasticity "heartbeat_timeouts";
+    /// Survivor re-tiling passes of the CA decomposition.
+    ElasticRetileEvents "elastic.retile_events" => Elasticity "retile_events";
+    /// Tiles migrated off dead ranks during re-tiling.
+    ElasticMigratedTiles "elastic.migrated_tiles" => Elasticity "migrated_tiles";
+    /// Work-steal requests sent by idle ranks.
+    BalanceStealRequests "balance.steal_requests" => Balance "steal_requests";
+    /// Work units granted to thieves by stragglers.
+    BalanceStolenUnits "balance.stolen_units" => Balance "stolen_units";
+    /// Iteration-to-iteration re-partitioning passes of the adaptive tiling.
+    BalanceRebalanceEvents "balance.rebalance_events" => Balance "rebalance_events";
+    /// Units whose owner changed in a re-partitioning pass.
+    BalanceMovedUnits "balance.moved_units" => Balance "moved_units";
+    /// Journal events overwritten by a full flight-recorder ring before
+    /// they could be drained.
+    JournalDropped "journal.dropped" => Journal "dropped";
+    /// Kernel-selector decisions that routed a coupling product through
+    /// the CSR sparse kernels.
+    KernelSparseSelected "kernel.sparse_selected" => KernelSelection "sparse_selected";
+    /// Kernel-selector decisions that kept a coupling product on the
+    /// blocked dense GEMM.
+    KernelDenseSelected "kernel.dense_selected" => KernelSelection "dense_selected";
+    /// Hysteresis flips of a sticky per-block kernel choice.
+    KernelSwitches "kernel.switches" => KernelSelection "switches";
+    /// Real flops executed by the CSR sparse kernels (also counted in
+    /// [`Counter::Flops`]; this isolates the sparse share).
+    KernelSparseFlops "kernel.sparse_flops" => KernelSelection "sparse_flops";
+    /// Bytes streamed by the CSR sparse kernels under their minimal
+    /// traffic model: CSR storage read once plus the dense panels touched.
+    KernelSparseBytes "kernel.sparse_bytes" => KernelSelection "sparse_bytes";
+    /// Real flops of selector-governed coupling products run densely.
+    KernelDenseFlops "kernel.dense_flops" => KernelSelection "dense_flops";
+    /// Measured nanoseconds in sparse-selected coupling ops.
+    KernelSparseNs => KernelSelection "sparse_secs" as secs;
+    /// Measured nanoseconds in dense-selected coupling ops.
+    KernelDenseNs => KernelSelection "dense_secs" as secs;
+    /// Model-predicted nanoseconds for the same sparse-selected ops, so
+    /// predicted and measured cover the identical op set.
+    KernelSparsePredNs => KernelSelection "predicted_sparse_secs" as secs;
+    /// Model-predicted nanoseconds for the same dense-selected ops.
+    KernelDensePredNs => KernelSelection "predicted_dense_secs" as secs;
+    /// Sweep requests admitted into the service queue.
+    ServiceAdmitted "service.admitted" => Service "admitted";
+    /// Sweep requests rejected with backpressure: queue full, shutdown in
+    /// progress, or an open circuit breaker.
+    ServiceRejected "service.rejected" => Service "rejected";
+    /// Sweep requests completed with every point answered.
+    ServiceCompleted "service.completed" => Service "completed";
+    /// Sweep requests that failed after exhausting their retry budget.
+    ServiceFailed "service.failed" => Service "failed";
+    /// Requests cancelled by the deadline watchdog.
+    ServiceDeadlineCancels "service.deadline_cancels" => Service "deadline_cancels";
+    /// Sweep points seeded from a neighboring converged solve (attempts).
+    ServiceWarmStarts "service.warm_starts" => Service "warm_starts";
+    /// Warm-start validation failures that degraded to a cold solve.
+    ServiceWarmFallbacks "service.warm_fallbacks" => Service "warm_fallbacks";
+    /// Per-request retries after a transient failure.
+    ServiceRetries "service.retries" => Service "retries";
+    /// Circuit-breaker trips quarantining a device variant.
+    ServiceBreakerOpens "service.breaker_opens" => Service "breaker_opens";
+    /// In-flight sweep points checkpointed by drain-on-shutdown.
+    ServiceDrained "service.drained" => Service "drained";
+    /// Warm-start seeds evicted by the bounded store's spread-preserving
+    /// policy.
+    ServiceWarmEvicted "service.warm_evicted" => Service "warm_evicted";
+    /// Scenarios parsed, validated and built into a simulation.
+    CorpusScenariosBuilt "corpus.scenarios_built" => Corpus "scenarios_built";
+    /// Scenarios rejected by fail-closed validation with a typed
+    /// `ScenarioError`.
+    CorpusScenariosRejected "corpus.scenarios_rejected" => Corpus "scenarios_rejected";
+    /// Golden-corpus scenarios executed end to end.
+    CorpusScenariosRun "corpus.scenarios_run" => Corpus "scenarios_run";
+    /// Scenario fingerprints that matched their golden record.
+    CorpusMatched "corpus.matched" => Corpus "matched";
+    /// Scenario fingerprints that diverged from their golden record.
+    CorpusMismatched "corpus.mismatched" => Corpus "mismatched";
+    /// Chaos-matrix reruns of corpus scenarios under fault injection.
+    CorpusChaosReruns "corpus.chaos_reruns" => Corpus "chaos_reruns";
+}
 
 struct Cell {
     v: [AtomicU64; N_COUNTERS],
-}
-
-// `#[derive(Default)]` stops at 32-element arrays; build the shard by hand.
-impl Default for Cell {
-    fn default() -> Cell {
-        Cell {
-            v: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 static CELLS: Mutex<Vec<Arc<Cell>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static CELL: Arc<Cell> = {
-        let cell = Arc::new(Cell::default());
+        let cell = Arc::new(Cell {
+            v: std::array::from_fn(|_| AtomicU64::new(0)),
+        });
         CELLS.lock().unwrap().push(cell.clone());
         cell
     };
 }
 
+/// Add `n` to counter `c` on the calling thread's shard.
 #[inline]
-fn bump(idx: usize, n: u64) {
-    CELL.with(|c| c.v[idx].fetch_add(n, Relaxed));
+pub fn add(c: Counter, n: u64) {
+    CELL.with(|cell| cell.v[c as usize].fetch_add(n, Relaxed));
 }
 
-#[inline]
-fn local(idx: usize) -> u64 {
-    CELL.with(|c| c.v[idx].load(Relaxed))
-}
-
-fn total(idx: usize) -> u64 {
+/// Counter `c` summed over all threads (alive or exited) since the last
+/// reset.
+pub fn total(c: Counter) -> u64 {
     CELLS
         .lock()
         .unwrap()
         .iter()
-        .map(|c| c.v[idx].load(Relaxed))
+        .map(|cell| cell.v[c as usize].load(Relaxed))
         .sum()
+}
+
+/// Counter `c` as accumulated by the calling thread since the last reset.
+#[inline]
+pub fn local(c: Counter) -> u64 {
+    CELL.with(|cell| cell.v[c as usize].load(Relaxed))
 }
 
 /// Add `n` real floating-point operations to the calling thread's shard.
 #[inline]
 pub fn add_flops(n: u64) {
-    bump(FLOPS, n);
+    add(Counter::Flops, n);
 }
 
 /// Account a complex `m × k × n` GEMM (8 real flops per complex MAC).
@@ -125,13 +286,13 @@ pub fn add_gemm_flops(m: usize, k: usize, n: usize) {
 /// Account `batch` complex `m × k × n` GEMMs.
 #[inline]
 pub fn add_gemm_flops_batched(m: usize, k: usize, n: usize, batch: usize) {
-    bump(FLOPS, 8 * (m * k * n * batch) as u64);
+    add(Counter::Flops, 8 * (m * k * n * batch) as u64);
 }
 
 /// Add `n` communicated bytes to the calling thread's shard.
 #[inline]
 pub fn add_bytes(n: u64) {
-    bump(BYTES, n);
+    add(Counter::Bytes, n);
 }
 
 /// Account one heap allocation of `bytes` bytes (`alloc.bytes` /
@@ -141,591 +302,66 @@ pub fn add_bytes(n: u64) {
 /// shard cell is registered).
 #[inline]
 pub fn add_alloc(bytes: u64) {
-    CELL.with(|c| {
-        c.v[ALLOC_BYTES].fetch_add(bytes, Relaxed);
-        c.v[ALLOC_COUNT].fetch_add(1, Relaxed);
-    });
-}
-
-/// Account one workspace-arena pool miss: a `take` that had to fall back
-/// to a fresh heap allocation instead of reusing a pooled buffer.
-#[inline]
-pub fn add_ws_fresh() {
-    bump(WS_FRESH, 1);
-}
-
-/// Account one boundary self-energy served from the `BoundaryCache`
-/// (`boundary.cache_hits`).
-#[inline]
-pub fn add_boundary_hit() {
-    bump(BOUNDARY_HITS, 1);
-}
-
-/// Account one boundary self-energy computed by full Sancho-Rubio
-/// decimation (cache miss or cache bypass).
-#[inline]
-pub fn add_boundary_miss() {
-    bump(BOUNDARY_MISSES, 1);
-}
-
-/// Account one quarantined `(E, kz)` / `(ω, qz)` grid point: a point whose
-/// Green's functions failed a numerical-health check (singular block,
-/// non-convergent boundary, non-finite output) and was excluded from the
-/// iteration instead of poisoning it (`health.quarantined`).
-#[inline]
-pub fn add_quarantined_point() {
-    bump(HEALTH_QUARANTINED, 1);
-}
-
-/// Account one eta-bump regularized retry of the Sancho-Rubio decimation
-/// (`health.eta_retries`).
-#[inline]
-pub fn add_eta_retry() {
-    bump(HEALTH_ETA_RETRIES, 1);
-}
-
-/// Account one adaptive-mixing backoff: the SCF residual grew and the
-/// mixing factor was halved (`health.mixing_backoffs`).
-#[inline]
-pub fn add_mixing_backoff() {
-    bump(HEALTH_MIXING_BACKOFFS, 1);
-}
-
-/// Account one communication retry: a timed-out or corrupt-and-discarded
-/// receive, or a sender-side retransmission (`health.comm_retries`).
-#[inline]
-pub fn add_comm_retry() {
-    bump(HEALTH_COMM_RETRIES, 1);
-}
-
-/// Account one SCF checkpoint written to disk (`health.checkpoint_writes`).
-#[inline]
-pub fn add_checkpoint_write() {
-    bump(HEALTH_CKPT_WRITES, 1);
-}
-
-/// Account one rank declared permanently dead by the failure detector or
-/// the kill schedule (`elastic.rank_deaths`).
-#[inline]
-pub fn add_rank_death() {
-    bump(ELASTIC_RANK_DEATHS, 1);
-}
-
-/// Account one receive poll that expired without data while the failure
-/// detector watched a peer's liveness epoch (`elastic.heartbeat_timeouts`).
-#[inline]
-pub fn add_heartbeat_timeout() {
-    bump(ELASTIC_HEARTBEAT_TIMEOUTS, 1);
-}
-
-/// Account one survivor re-tiling pass of the CA decomposition
-/// (`elastic.retile_events`).
-#[inline]
-pub fn add_retile_event() {
-    bump(ELASTIC_RETILE_EVENTS, 1);
-}
-
-/// Account `n` tiles migrated off a dead rank during a re-tiling pass
-/// (`elastic.migrated_tiles`).
-#[inline]
-pub fn add_migrated_tiles(n: u64) {
-    bump(ELASTIC_MIGRATED_TILES, n);
-}
-
-/// Account one work-steal request sent by an idle rank
-/// (`balance.steal_requests`).
-#[inline]
-pub fn add_steal_request() {
-    bump(BALANCE_STEAL_REQUESTS, 1);
-}
-
-/// Account `n` work units granted to a thief by a straggler
-/// (`balance.stolen_units`).
-#[inline]
-pub fn add_stolen_units(n: u64) {
-    bump(BALANCE_STOLEN_UNITS, n);
-}
-
-/// Account one iteration-to-iteration re-partitioning pass of the
-/// adaptive tiling (`balance.rebalance_events`).
-#[inline]
-pub fn add_rebalance_event() {
-    bump(BALANCE_REBALANCE_EVENTS, 1);
-}
-
-/// Account `n` units whose owner changed in a re-partitioning pass
-/// (`balance.moved_units`).
-#[inline]
-pub fn add_rebalance_moved_units(n: u64) {
-    bump(BALANCE_MOVED_UNITS, n);
-}
-
-/// Account `n` journal events overwritten by a full flight-recorder ring
-/// before they could be drained (`journal.dropped`).
-#[inline]
-pub fn add_journal_dropped(n: u64) {
-    bump(JOURNAL_DROPPED, n);
-}
-
-/// Account one per-block-operation kernel-selector decision that routed a
-/// coupling product through the CSR sparse kernels
-/// (`kernel.sparse_selected`).
-#[inline]
-pub fn add_kernel_sparse_selected() {
-    bump(KSEL_SPARSE, 1);
-}
-
-/// Account one per-block-operation kernel-selector decision that kept a
-/// coupling product on the blocked dense GEMM (`kernel.dense_selected`).
-#[inline]
-pub fn add_kernel_dense_selected() {
-    bump(KSEL_DENSE, 1);
-}
-
-/// Account one hysteresis flip of a sticky per-block kernel choice — the
-/// measured density crossed the crossover band and the selector changed
-/// its mind (`kernel.switches`).
-#[inline]
-pub fn add_kernel_switch() {
-    bump(KSEL_SWITCHES, 1);
-}
-
-/// Add `n` real flops executed by the CSR sparse kernels
-/// (`kernel.sparse_flops`). Also counted in the global flop counter by
-/// the kernels themselves; this shard isolates the sparse share.
-#[inline]
-pub fn add_kernel_sparse_flops(n: u64) {
-    bump(KERNEL_SPARSE_FLOPS, n);
-}
-
-/// Add `n` bytes streamed by the CSR sparse kernels under their minimal
-/// traffic model (`kernel.sparse_bytes`): CSR storage read once plus the
-/// dense operand/result panels touched.
-#[inline]
-pub fn add_kernel_sparse_bytes(n: u64) {
-    bump(KERNEL_SPARSE_BYTES, n);
-}
-
-/// Add `n` real flops a selector-governed coupling product executed on
-/// the dense route (`kernel.dense_flops`).
-#[inline]
-pub fn add_kernel_dense_flops(n: u64) {
-    bump(KERNEL_DENSE_FLOPS, n);
-}
-
-/// Add `n` measured nanoseconds spent in sparse-selected coupling ops.
-#[inline]
-pub fn add_kernel_sparse_ns(n: u64) {
-    bump(KERNEL_SPARSE_NS, n);
-}
-
-/// Add `n` measured nanoseconds spent in dense-selected coupling ops.
-#[inline]
-pub fn add_kernel_dense_ns(n: u64) {
-    bump(KERNEL_DENSE_NS, n);
-}
-
-/// Add `n` model-predicted nanoseconds for the same sparse-selected ops
-/// that fed [`add_kernel_sparse_ns`] — accumulated together so predicted
-/// and measured cover the identical op set.
-#[inline]
-pub fn add_kernel_sparse_pred_ns(n: u64) {
-    bump(KERNEL_SPARSE_PRED_NS, n);
-}
-
-/// Add `n` model-predicted nanoseconds for the dense-selected ops that
-/// fed [`add_kernel_dense_ns`].
-#[inline]
-pub fn add_kernel_dense_pred_ns(n: u64) {
-    bump(KERNEL_DENSE_PRED_NS, n);
-}
-
-/// Account one sweep request admitted into the service queue
-/// (`service.admitted`).
-#[inline]
-pub fn add_service_admitted() {
-    bump(SERVICE_ADMITTED, 1);
-}
-
-/// Account one sweep request rejected with backpressure — queue full,
-/// shutdown in progress, or an open circuit breaker
-/// (`service.rejected`).
-#[inline]
-pub fn add_service_rejected() {
-    bump(SERVICE_REJECTED, 1);
-}
-
-/// Account one sweep request completed with every point answered
-/// (`service.completed`).
-#[inline]
-pub fn add_service_completed() {
-    bump(SERVICE_COMPLETED, 1);
-}
-
-/// Account one sweep request that ended in failure after exhausting its
-/// retry budget (`service.failed`).
-#[inline]
-pub fn add_service_failed() {
-    bump(SERVICE_FAILED, 1);
-}
-
-/// Account one request cancelled by the deadline watchdog
-/// (`service.deadline_cancels`).
-#[inline]
-pub fn add_service_deadline_cancel() {
-    bump(SERVICE_DEADLINE_CANCELS, 1);
-}
-
-/// Account one sweep point seeded from a neighboring converged solve
-/// (`service.warm_starts`).
-#[inline]
-pub fn add_service_warm_start() {
-    bump(SERVICE_WARM_STARTS, 1);
-}
-
-/// Account one warm-start validation failure that degraded to a cold
-/// solve (`service.warm_fallbacks`).
-#[inline]
-pub fn add_service_warm_fallback() {
-    bump(SERVICE_WARM_FALLBACKS, 1);
-}
-
-/// Account one per-request retry after a transient failure
-/// (`service.retries`).
-#[inline]
-pub fn add_service_retry() {
-    bump(SERVICE_RETRIES, 1);
-}
-
-/// Account one circuit-breaker trip quarantining a device variant
-/// (`service.breaker_opens`).
-#[inline]
-pub fn add_service_breaker_open() {
-    bump(SERVICE_BREAKER_OPENS, 1);
-}
-
-/// Account one in-flight sweep point checkpointed by drain-on-shutdown
-/// (`service.drained`).
-#[inline]
-pub fn add_service_drained() {
-    bump(SERVICE_DRAINED, 1);
-}
-
-/// Account one warm-start seed evicted by the bounded store's spread-
-/// preserving policy (`service.warm_evicted`).
-#[inline]
-pub fn add_service_warm_evicted() {
-    bump(SERVICE_WARM_EVICTED, 1);
-}
-
-/// Account one scenario successfully parsed, validated and built into a
-/// simulation (`corpus.scenarios_built`).
-#[inline]
-pub fn add_corpus_scenario_built() {
-    bump(CORPUS_SCENARIOS_BUILT, 1);
-}
-
-/// Account one scenario rejected by fail-closed validation with a typed
-/// `ScenarioError` (`corpus.scenarios_rejected`).
-#[inline]
-pub fn add_corpus_scenario_rejected() {
-    bump(CORPUS_SCENARIOS_REJECTED, 1);
-}
-
-/// Account one golden-corpus scenario executed end to end
-/// (`corpus.scenarios_run`).
-#[inline]
-pub fn add_corpus_scenario_run() {
-    bump(CORPUS_SCENARIOS_RUN, 1);
-}
-
-/// Account one scenario whose fingerprint matched its golden record
-/// (`corpus.matched`).
-#[inline]
-pub fn add_corpus_matched() {
-    bump(CORPUS_MATCHED, 1);
-}
-
-/// Account one scenario whose fingerprint diverged from its golden
-/// record (`corpus.mismatched`).
-#[inline]
-pub fn add_corpus_mismatched() {
-    bump(CORPUS_MISMATCHED, 1);
-}
-
-/// Account one chaos-matrix rerun of a corpus scenario under fault
-/// injection (`corpus.chaos_reruns`).
-#[inline]
-pub fn add_corpus_chaos_rerun() {
-    bump(CORPUS_CHAOS_RERUNS, 1);
+    add(Counter::AllocBytes, bytes);
+    add(Counter::AllocCount, 1);
 }
 
 /// Total flops across all threads (alive or exited) since the last reset.
 pub fn total_flops() -> u64 {
-    total(FLOPS)
-}
-
-/// Total admitted sweep requests since the last reset.
-pub fn total_service_admitted() -> u64 {
-    total(SERVICE_ADMITTED)
-}
-
-/// Total backpressure-rejected sweep requests since the last reset.
-pub fn total_service_rejected() -> u64 {
-    total(SERVICE_REJECTED)
-}
-
-/// Total completed sweep requests since the last reset.
-pub fn total_service_completed() -> u64 {
-    total(SERVICE_COMPLETED)
-}
-
-/// Total failed sweep requests since the last reset.
-pub fn total_service_failed() -> u64 {
-    total(SERVICE_FAILED)
-}
-
-/// Total deadline cancellations since the last reset.
-pub fn total_service_deadline_cancels() -> u64 {
-    total(SERVICE_DEADLINE_CANCELS)
-}
-
-/// Total warm-started sweep points since the last reset.
-pub fn total_service_warm_starts() -> u64 {
-    total(SERVICE_WARM_STARTS)
-}
-
-/// Total warm-to-cold degradations since the last reset.
-pub fn total_service_warm_fallbacks() -> u64 {
-    total(SERVICE_WARM_FALLBACKS)
-}
-
-/// Total per-request retries since the last reset.
-pub fn total_service_retries() -> u64 {
-    total(SERVICE_RETRIES)
-}
-
-/// Total circuit-breaker trips since the last reset.
-pub fn total_service_breaker_opens() -> u64 {
-    total(SERVICE_BREAKER_OPENS)
-}
-
-/// Total drain-checkpointed sweep points since the last reset.
-pub fn total_service_drained() -> u64 {
-    total(SERVICE_DRAINED)
-}
-
-/// Total warm-store evictions since the last reset.
-pub fn total_service_warm_evicted() -> u64 {
-    total(SERVICE_WARM_EVICTED)
-}
-
-/// Total scenarios built since the last reset.
-pub fn total_corpus_scenarios_built() -> u64 {
-    total(CORPUS_SCENARIOS_BUILT)
-}
-
-/// Total scenarios rejected with typed errors since the last reset.
-pub fn total_corpus_scenarios_rejected() -> u64 {
-    total(CORPUS_SCENARIOS_REJECTED)
-}
-
-/// Total corpus scenarios executed since the last reset.
-pub fn total_corpus_scenarios_run() -> u64 {
-    total(CORPUS_SCENARIOS_RUN)
-}
-
-/// Total golden-fingerprint matches since the last reset.
-pub fn total_corpus_matched() -> u64 {
-    total(CORPUS_MATCHED)
-}
-
-/// Total golden-fingerprint mismatches since the last reset.
-pub fn total_corpus_mismatched() -> u64 {
-    total(CORPUS_MISMATCHED)
-}
-
-/// Total chaos-matrix reruns since the last reset.
-pub fn total_corpus_chaos_reruns() -> u64 {
-    total(CORPUS_CHAOS_RERUNS)
-}
-
-/// Total sparse kernel-selector decisions since the last reset.
-pub fn total_kernel_sparse_selected() -> u64 {
-    total(KSEL_SPARSE)
-}
-
-/// Total dense kernel-selector decisions since the last reset.
-pub fn total_kernel_dense_selected() -> u64 {
-    total(KSEL_DENSE)
-}
-
-/// Total hysteresis flips of sticky kernel choices since the last reset.
-pub fn total_kernel_switches() -> u64 {
-    total(KSEL_SWITCHES)
-}
-
-/// Total CSR sparse-kernel flops since the last reset.
-pub fn total_kernel_sparse_flops() -> u64 {
-    total(KERNEL_SPARSE_FLOPS)
-}
-
-/// Total CSR sparse-kernel streamed bytes since the last reset.
-pub fn total_kernel_sparse_bytes() -> u64 {
-    total(KERNEL_SPARSE_BYTES)
-}
-
-/// Total dense-route coupling flops under kernel selection since the
-/// last reset.
-pub fn total_kernel_dense_flops() -> u64 {
-    total(KERNEL_DENSE_FLOPS)
-}
-
-/// Total measured nanoseconds in sparse-selected coupling ops.
-pub fn total_kernel_sparse_ns() -> u64 {
-    total(KERNEL_SPARSE_NS)
-}
-
-/// Total measured nanoseconds in dense-selected coupling ops.
-pub fn total_kernel_dense_ns() -> u64 {
-    total(KERNEL_DENSE_NS)
-}
-
-/// Total model-predicted nanoseconds for the timed sparse-selected ops.
-pub fn total_kernel_sparse_pred_ns() -> u64 {
-    total(KERNEL_SPARSE_PRED_NS)
-}
-
-/// Total model-predicted nanoseconds for the timed dense-selected ops.
-pub fn total_kernel_dense_pred_ns() -> u64 {
-    total(KERNEL_DENSE_PRED_NS)
-}
-
-/// Total journal events lost to ring overflow since the last reset.
-pub fn total_journal_dropped() -> u64 {
-    total(JOURNAL_DROPPED)
-}
-
-/// Total heap-allocated bytes across all threads since the last reset.
-pub fn total_alloc_bytes() -> u64 {
-    total(ALLOC_BYTES)
-}
-
-/// Total heap allocation count across all threads since the last reset.
-pub fn total_alloc_count() -> u64 {
-    total(ALLOC_COUNT)
-}
-
-/// Total workspace-arena pool misses across all threads since the last
-/// reset.
-pub fn total_ws_fresh() -> u64 {
-    total(WS_FRESH)
+    total(Counter::Flops)
 }
 
 /// Total boundary-cache hits across all threads since the last reset.
 pub fn total_boundary_hits() -> u64 {
-    total(BOUNDARY_HITS)
+    total(Counter::BoundaryHits)
 }
 
 /// Total boundary-cache misses across all threads since the last reset.
 pub fn total_boundary_misses() -> u64 {
-    total(BOUNDARY_MISSES)
+    total(Counter::BoundaryMisses)
 }
 
-/// Total quarantined grid points across all threads since the last reset.
-pub fn total_quarantined_points() -> u64 {
-    total(HEALTH_QUARANTINED)
+/// Counter values indexed by [`Counter`]; rows outside a snapshot stay 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counts([u64; N_COUNTERS]);
+
+// `#[derive(Default)]` stops at 32-element arrays.
+impl Default for Counts {
+    fn default() -> Counts {
+        Counts([0; N_COUNTERS])
+    }
 }
 
-/// Total eta-bump decimation retries across all threads since the last
-/// reset.
-pub fn total_eta_retries() -> u64 {
-    total(HEALTH_ETA_RETRIES)
+impl Counts {
+    /// Snapshot the totals of the rows `pick` selects. Rows are read last
+    /// to first, so a settlement counter is read before the attempt
+    /// counter listed above it and a snapshot taken mid-run never shows
+    /// more settlements than attempts.
+    pub(crate) fn read(pick: impl Fn(&Row) -> bool) -> Counts {
+        let mut counts = Counts::default();
+        for row in TABLE.iter().rev().filter(|r| pick(r)) {
+            counts[row.counter] = total(row.counter);
+        }
+        counts
+    }
+
+    /// Snapshot the counters of one report block.
+    pub fn block(block: Block) -> Counts {
+        Counts::read(|r| r.block == block)
+    }
 }
 
-/// Total adaptive-mixing backoffs across all threads since the last reset.
-pub fn total_mixing_backoffs() -> u64 {
-    total(HEALTH_MIXING_BACKOFFS)
+impl Index<Counter> for Counts {
+    type Output = u64;
+    fn index(&self, c: Counter) -> &u64 {
+        &self.0[c as usize]
+    }
 }
 
-/// Total communication retries across all threads since the last reset.
-pub fn total_comm_retries() -> u64 {
-    total(HEALTH_COMM_RETRIES)
-}
-
-/// Total checkpoint writes across all threads since the last reset.
-pub fn total_checkpoint_writes() -> u64 {
-    total(HEALTH_CKPT_WRITES)
-}
-
-/// Total rank deaths across all threads since the last reset.
-pub fn total_rank_deaths() -> u64 {
-    total(ELASTIC_RANK_DEATHS)
-}
-
-/// Total heartbeat-timeout polls across all threads since the last reset.
-pub fn total_heartbeat_timeouts() -> u64 {
-    total(ELASTIC_HEARTBEAT_TIMEOUTS)
-}
-
-/// Total survivor re-tiling passes across all threads since the last
-/// reset.
-pub fn total_retile_events() -> u64 {
-    total(ELASTIC_RETILE_EVENTS)
-}
-
-/// Total migrated tiles across all threads since the last reset.
-pub fn total_migrated_tiles() -> u64 {
-    total(ELASTIC_MIGRATED_TILES)
-}
-
-/// Total steal requests across all threads since the last reset.
-pub fn total_steal_requests() -> u64 {
-    total(BALANCE_STEAL_REQUESTS)
-}
-
-/// Total stolen work units across all threads since the last reset.
-pub fn total_stolen_units() -> u64 {
-    total(BALANCE_STOLEN_UNITS)
-}
-
-/// Total adaptive re-partitioning passes since the last reset.
-pub fn total_rebalance_events() -> u64 {
-    total(BALANCE_REBALANCE_EVENTS)
-}
-
-/// Total units moved by re-partitioning passes since the last reset.
-pub fn total_rebalance_moved_units() -> u64 {
-    total(BALANCE_MOVED_UNITS)
-}
-
-/// Total communicated bytes across all threads since the last reset.
-pub fn total_bytes() -> u64 {
-    total(BYTES)
-}
-
-/// Flops accumulated by the calling thread since the last reset.
-#[inline]
-pub fn local_flops() -> u64 {
-    local(FLOPS)
-}
-
-/// Bytes accumulated by the calling thread since the last reset.
-#[inline]
-pub fn local_bytes() -> u64 {
-    local(BYTES)
-}
-
-/// Heap bytes allocated by the calling thread since the last reset.
-#[inline]
-pub fn local_alloc_bytes() -> u64 {
-    local(ALLOC_BYTES)
-}
-
-/// Heap allocations performed by the calling thread since the last reset.
-#[inline]
-pub fn local_alloc_count() -> u64 {
-    local(ALLOC_COUNT)
+impl IndexMut<Counter> for Counts {
+    fn index_mut(&mut self, c: Counter) -> &mut u64 {
+        &mut self.0[c as usize]
+    }
 }
 
 /// Zero every counter on every registered cell.
@@ -741,7 +377,7 @@ pub fn reset_counters() {
 /// `qt_linalg::flops`).
 pub fn reset_flops() {
     for cell in CELLS.lock().unwrap().iter() {
-        cell.v[FLOPS].store(0, Relaxed);
+        cell.v[Counter::Flops as usize].store(0, Relaxed);
     }
 }
 
@@ -765,14 +401,12 @@ pub fn timed<R>(section: HotSection, f: impl FnOnce() -> R) -> R {
     let t0 = Instant::now();
     let out = f();
     let ns = t0.elapsed().as_nanos() as u64;
-    let (ns_idx, calls_idx) = match section {
-        HotSection::GemmPack => (PACK_NS, PACK_CALLS),
-        HotSection::GemmKernel => (KERNEL_NS, KERNEL_CALLS),
+    let (ns_counter, calls_counter) = match section {
+        HotSection::GemmPack => (Counter::GemmPackNs, Counter::GemmPackCalls),
+        HotSection::GemmKernel => (Counter::GemmKernelNs, Counter::GemmKernelCalls),
     };
-    CELL.with(|c| {
-        c.v[ns_idx].fetch_add(ns, Relaxed);
-        c.v[calls_idx].fetch_add(1, Relaxed);
-    });
+    add(ns_counter, ns);
+    add(calls_counter, 1);
     out
 }
 
@@ -792,230 +426,119 @@ pub struct GemmSplit {
 /// Snapshot the pack/kernel hot-section counters.
 pub fn gemm_split() -> GemmSplit {
     GemmSplit {
-        pack_ns: total(PACK_NS),
-        pack_calls: total(PACK_CALLS),
-        kernel_ns: total(KERNEL_NS),
-        kernel_calls: total(KERNEL_CALLS),
+        pack_ns: total(Counter::GemmPackNs),
+        pack_calls: total(Counter::GemmPackCalls),
+        kernel_ns: total(Counter::GemmKernelNs),
+        kernel_calls: total(Counter::GemmKernelCalls),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::report::{BalanceReport, JournalBlock, TelemetryReport};
 
     #[test]
     fn local_counts_feed_totals() {
         let f0 = total_flops();
-        let l0 = local_flops();
+        let l0 = local(Counter::Flops);
         add_gemm_flops_batched(2, 3, 4, 5);
-        assert_eq!(local_flops() - l0, 8 * 2 * 3 * 4 * 5);
+        assert_eq!(local(Counter::Flops) - l0, 8 * 2 * 3 * 4 * 5);
         assert!(total_flops() - f0 >= 8 * 2 * 3 * 4 * 5);
     }
 
-    #[test]
-    fn alloc_and_boundary_counts_accumulate() {
-        let (b0, c0) = (total_alloc_bytes(), total_alloc_count());
-        add_alloc(256);
-        add_alloc(64);
-        assert!(total_alloc_bytes() - b0 >= 320);
-        assert!(total_alloc_count() - c0 >= 2);
-        assert!(local_alloc_bytes() >= 320);
-        assert!(local_alloc_count() >= 2);
-
-        let (h0, m0, w0) = (
-            total_boundary_hits(),
-            total_boundary_misses(),
-            total_ws_fresh(),
-        );
-        add_boundary_hit();
-        add_boundary_miss();
-        add_ws_fresh();
-        assert!(total_boundary_hits() - h0 >= 1);
-        assert!(total_boundary_misses() - m0 >= 1);
-        assert!(total_ws_fresh() - w0 >= 1);
+    /// The report key of each block, `None` for the top level.
+    fn block_key(block: Block) -> Option<&'static str> {
+        match block {
+            Block::Top => None,
+            Block::Health => Some("health"),
+            Block::Elasticity => Some("elasticity"),
+            Block::Balance => Some("balance"),
+            Block::KernelSelection => Some("kernel_selection"),
+            Block::Service => Some("service"),
+            Block::Corpus => Some("corpus"),
+            Block::Journal => Some("journal"),
+            Block::Unreported => unreachable!(),
+        }
     }
 
-    #[test]
-    fn health_counts_accumulate() {
-        let (q0, e0, m0, c0, k0) = (
-            total_quarantined_points(),
-            total_eta_retries(),
-            total_mixing_backoffs(),
-            total_comm_retries(),
-            total_checkpoint_writes(),
-        );
-        add_quarantined_point();
-        add_eta_retry();
-        add_mixing_backoff();
-        add_comm_retry();
-        add_comm_retry();
-        add_checkpoint_write();
-        assert!(total_quarantined_points() - q0 >= 1);
-        assert!(total_eta_retries() - e0 >= 1);
-        assert!(total_mixing_backoffs() - m0 >= 1);
-        assert!(total_comm_retries() - c0 >= 2);
-        assert!(total_checkpoint_writes() - k0 >= 1);
-    }
-
-    #[test]
-    fn elasticity_counts_accumulate() {
-        let (d0, t0, r0, m0) = (
-            total_rank_deaths(),
-            total_heartbeat_timeouts(),
-            total_retile_events(),
-            total_migrated_tiles(),
-        );
-        add_rank_death();
-        add_heartbeat_timeout();
-        add_heartbeat_timeout();
-        add_retile_event();
-        add_migrated_tiles(3);
-        assert!(total_rank_deaths() - d0 >= 1);
-        assert!(total_heartbeat_timeouts() - t0 >= 2);
-        assert!(total_retile_events() - r0 >= 1);
-        assert!(total_migrated_tiles() - m0 >= 3);
-    }
-
-    #[test]
-    fn balance_counts_accumulate() {
-        let (s0, u0, r0, m0) = (
-            total_steal_requests(),
-            total_stolen_units(),
-            total_rebalance_events(),
-            total_rebalance_moved_units(),
-        );
-        add_steal_request();
-        add_stolen_units(2);
-        add_rebalance_event();
-        add_rebalance_moved_units(5);
-        assert!(total_steal_requests() - s0 >= 1);
-        assert!(total_stolen_units() - u0 >= 2);
-        assert!(total_rebalance_events() - r0 >= 1);
-        assert!(total_rebalance_moved_units() - m0 >= 5);
-    }
-
-    #[test]
-    fn kernel_selection_counts_accumulate() {
-        let (s0, d0, w0) = (
-            total_kernel_sparse_selected(),
-            total_kernel_dense_selected(),
-            total_kernel_switches(),
-        );
-        let (f0, b0, g0) = (
-            total_kernel_sparse_flops(),
-            total_kernel_sparse_bytes(),
-            total_kernel_dense_flops(),
-        );
-        add_kernel_sparse_selected();
-        add_kernel_sparse_selected();
-        add_kernel_dense_selected();
-        add_kernel_switch();
-        add_kernel_sparse_flops(800);
-        add_kernel_sparse_bytes(4096);
-        add_kernel_dense_flops(1600);
-        add_kernel_sparse_ns(10);
-        add_kernel_dense_ns(20);
-        add_kernel_sparse_pred_ns(12);
-        add_kernel_dense_pred_ns(18);
-        assert!(total_kernel_sparse_selected() - s0 >= 2);
-        assert!(total_kernel_dense_selected() - d0 >= 1);
-        assert!(total_kernel_switches() - w0 >= 1);
-        assert!(total_kernel_sparse_flops() - f0 >= 800);
-        assert!(total_kernel_sparse_bytes() - b0 >= 4096);
-        assert!(total_kernel_dense_flops() - g0 >= 1600);
-        assert!(total_kernel_sparse_ns() >= 10);
-        assert!(total_kernel_dense_ns() >= 20);
-        assert!(total_kernel_sparse_pred_ns() >= 12);
-        assert!(total_kernel_dense_pred_ns() >= 18);
-    }
-
-    #[test]
-    fn service_counts_accumulate() {
-        let before = [
-            total_service_admitted(),
-            total_service_rejected(),
-            total_service_completed(),
-            total_service_failed(),
-            total_service_deadline_cancels(),
-            total_service_warm_starts(),
-            total_service_warm_fallbacks(),
-            total_service_retries(),
-            total_service_breaker_opens(),
-            total_service_drained(),
-        ];
-        // Two admissions so the settled totals (completed + failed) never
-        // exceed admissions — the report validator checks that invariant
-        // against these same process-global counters.
-        add_service_admitted();
-        add_service_admitted();
-        add_service_rejected();
-        add_service_completed();
-        add_service_failed();
-        add_service_deadline_cancel();
-        add_service_warm_start();
-        add_service_warm_fallback();
-        add_service_retry();
-        add_service_breaker_open();
-        add_service_drained();
-        let after = [
-            total_service_admitted(),
-            total_service_rejected(),
-            total_service_completed(),
-            total_service_failed(),
-            total_service_deadline_cancels(),
-            total_service_warm_starts(),
-            total_service_warm_fallbacks(),
-            total_service_retries(),
-            total_service_breaker_opens(),
-            total_service_drained(),
-        ];
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert!(a - b >= 1, "service counter {i} did not advance");
+    fn fields(v: &Json) -> &[(String, Json)] {
+        match v {
+            Json::Obj(fields) => fields,
+            other => panic!("not an object: {other:?}"),
         }
     }
 
     #[test]
-    fn corpus_counts_accumulate() {
-        let before = [
-            total_service_warm_evicted(),
-            total_corpus_scenarios_built(),
-            total_corpus_scenarios_rejected(),
-            total_corpus_scenarios_run(),
-            total_corpus_matched(),
-            total_corpus_mismatched(),
-            total_corpus_chaos_reruns(),
-        ];
-        add_service_warm_evicted();
-        add_corpus_scenario_built();
-        add_corpus_scenario_rejected();
-        // Two runs cover one match plus one mismatch: the report's
-        // corpus block validates `matched + mismatched <= scenarios_run`
-        // against these same global counters, and report tests snapshot
-        // them via `from_current()`.
-        add_corpus_scenario_run();
-        add_corpus_scenario_run();
-        add_corpus_matched();
-        add_corpus_mismatched();
-        add_corpus_chaos_rerun();
-        let after = [
-            total_service_warm_evicted(),
-            total_corpus_scenarios_built(),
-            total_corpus_scenarios_rejected(),
-            total_corpus_scenarios_run(),
-            total_corpus_matched(),
-            total_corpus_mismatched(),
-            total_corpus_chaos_reruns(),
-        ];
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert!(a - b >= 1, "corpus counter {i} did not advance");
+    fn every_row_is_counted_sampled_rendered_and_reported() {
+        for (i, row) in TABLE.iter().enumerate() {
+            let c = row.counter;
+            assert_eq!(c as usize, i, "{c:?} sits in another row's slot");
+            // Two admissions and two runs keep `completed + failed <=
+            // admitted` and `matched + mismatched <= scenarios_run` true
+            // for concurrent tests validating the process-global totals.
+            let n = match c {
+                Counter::ServiceAdmitted | Counter::CorpusScenariosRun => 2,
+                _ => 1,
+            };
+            let t0 = total(c);
+            let on_thread = std::thread::spawn(move || {
+                let l0 = local(c);
+                add(c, n);
+                local(c) - l0
+            });
+            assert_eq!(on_thread.join().unwrap(), n, "local {c:?}");
+            assert!(total(c) - t0 >= n, "total {c:?}");
         }
-    }
 
-    #[test]
-    fn byte_counts_accumulate() {
-        let b0 = total_bytes();
-        add_bytes(1024);
-        assert!(total_bytes() - b0 >= 1024);
+        let sample = crate::series::Sample {
+            ts_us: 0.0,
+            iteration: 0,
+            values: Counts::default(),
+        }
+        .to_json();
+        let sampled = fields(sample.get("values").unwrap());
+        let prom = crate::series::render_prometheus();
+        for row in &TABLE {
+            let Some(name) = row.name else { continue };
+            let in_sample = sampled.iter().filter(|(k, _)| k == name).count();
+            assert_eq!(in_sample, row.sampled() as usize, "{name} in the sample");
+            let prom_name = format!("qt_{} ", name.replace('.', "_"));
+            let in_prom = prom.lines().filter(|l| l.starts_with(&prom_name)).count();
+            assert_eq!(in_prom, 1, "{name} in the Prometheus text");
+        }
+        assert_eq!(sampled.len(), TABLE.iter().filter(|r| r.sampled()).count());
+
+        let mut rep = TelemetryReport::from_current();
+        rep.balance = Some(BalanceReport::from_busy_times(vec![1.0], 0.0));
+        rep.journal = Some(JournalBlock::from_journal());
+        let root = Json::parse(&rep.to_json()).unwrap();
+        TelemetryReport::from_json(&root.dump()).unwrap();
+        for row in TABLE.iter().filter(|r| r.block != Block::Unreported) {
+            let block = block_key(row.block);
+            let obj = block.map_or(&root, |b| root.get(b).unwrap());
+            let hits = fields(obj).iter().filter(|(k, _)| k == row.key).count();
+            assert_eq!(hits, 1, "{:?} in block {block:?}", row.key);
+            // Strip the key and the report must no longer parse.
+            let mut stripped = root.clone();
+            let Json::Obj(top) = &mut stripped else {
+                unreachable!()
+            };
+            let target = match block {
+                None => top,
+                Some(b) => match &mut top.iter_mut().find(|(k, _)| k == b).unwrap().1 {
+                    Json::Obj(inner) => inner,
+                    _ => unreachable!(),
+                },
+            };
+            target.retain(|(k, _)| k != row.key);
+            assert!(
+                TelemetryReport::from_json(&stripped.dump()).is_err(),
+                "report without {:?} in block {block:?} parsed",
+                row.key
+            );
+        }
     }
 
     #[test]
@@ -1027,12 +550,11 @@ mod tests {
 
     #[test]
     fn timed_is_transparent_when_disabled() {
-        let split0 = gemm_split();
+        let calls0 = local(Counter::GemmPackCalls);
         let v = timed(HotSection::GemmPack, || 41 + 1);
         assert_eq!(v, 42);
         if !crate::span::enabled() {
-            let split1 = gemm_split();
-            assert_eq!(split0.pack_calls, split1.pack_calls);
+            assert_eq!(local(Counter::GemmPackCalls), calls0);
         }
     }
 }

@@ -238,7 +238,7 @@ impl Ring {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.buf.len();
             self.dropped += 1;
-            crate::counters::add_journal_dropped(1);
+            crate::counters::add(crate::counters::Counter::JournalDropped, 1);
         }
     }
 
@@ -770,7 +770,10 @@ mod tests {
         reset_journal();
         set_ring_capacity(4);
         set_journaling(true);
-        let dropped0 = crate::counters::total_journal_dropped();
+        // `emit` pushes on the calling thread, which therefore owns the
+        // drop count; the process total also sees concurrent tests.
+        let dropped = || crate::counters::local(crate::counters::Counter::JournalDropped);
+        let dropped0 = dropped();
         for i in 0..10u64 {
             emit(EventKind::QuarantinePoint { grid_index: i });
         }
@@ -789,7 +792,7 @@ mod tests {
             .collect();
         assert_eq!(survivors, vec![6, 7, 8, 9]);
         assert_eq!(
-            crate::counters::total_journal_dropped() - dropped0,
+            dropped() - dropped0,
             6,
             "every overwrite must bump journal.dropped"
         );

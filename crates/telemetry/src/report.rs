@@ -3,8 +3,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::counters::{self, Block, Counter, Counts, TABLE};
 use crate::json::Json;
-use crate::{counters, journal, registry, registry::PhaseStat, series};
+use crate::{journal, registry, registry::PhaseStat, series};
 
 /// Per-phase entry of the report.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,65 +136,6 @@ impl WarmupStats {
     }
 }
 
-/// Resilience counters: what the numerical health guards caught and what
-/// the recovery machinery (η-bump retries, adaptive mixing, the reliable
-/// comm protocol, checkpointing) did about it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HealthReport {
-    /// `(E, kz)` / `(ω, qz)` points quarantined after numerical failures.
-    pub quarantined_points: u64,
-    /// Sancho-Rubio retries at a bumped imaginary broadening.
-    pub eta_retries: u64,
-    /// Times the adaptive SCF controller halved the mixing factor.
-    pub mixing_backoffs: u64,
-    /// Communication retries (retransmissions and receive timeouts).
-    pub comm_retries: u64,
-    /// SCF checkpoints written.
-    pub checkpoint_writes: u64,
-}
-
-impl HealthReport {
-    /// Snapshot the global health counters.
-    pub fn from_counters() -> Self {
-        HealthReport {
-            quarantined_points: counters::total_quarantined_points(),
-            eta_retries: counters::total_eta_retries(),
-            mixing_backoffs: counters::total_mixing_backoffs(),
-            comm_retries: counters::total_comm_retries(),
-            checkpoint_writes: counters::total_checkpoint_writes(),
-        }
-    }
-}
-
-/// Elastic-recovery counters: rank deaths detected by the liveness layer
-/// and what the survivor re-tiling did about them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ElasticityReport {
-    /// Ranks declared dead (heartbeat expiry, dead-flag cascade, or a
-    /// failed send implicating them).
-    pub rank_deaths: u64,
-    /// Receive-poll timeouts: each is one liveness probe of the sender's
-    /// heartbeat epoch (benign while the peer still makes progress; the
-    /// probe that finds a stalled epoch past its deadline declares death).
-    pub heartbeat_timeouts: u64,
-    /// Survivor re-tiling rounds (one per failed exchange attempt).
-    pub retile_events: u64,
-    /// Work-unit tiles migrated from dead ranks onto survivors.
-    pub migrated_tiles: u64,
-}
-
-impl ElasticityReport {
-    /// Snapshot the global elasticity counters.
-    pub fn from_counters() -> Self {
-        ElasticityReport {
-            rank_deaths: counters::total_rank_deaths(),
-            heartbeat_timeouts: counters::total_heartbeat_timeouts(),
-            retile_events: counters::total_retile_events(),
-            migrated_tiles: counters::total_migrated_tiles(),
-        }
-    }
-}
-
 /// Load-balance summary of the distributed iteration: per-rank busy
 /// times, the resulting imbalance ratio, and what the adaptive machinery
 /// (cost-model re-tiling, intra-iteration work stealing) did.
@@ -206,16 +148,8 @@ pub struct BalanceReport {
     /// The same ratio under the static uniform tiling — the baseline the
     /// adaptive layer is compared against. 0.0 when not measured.
     pub imbalance_before: f64,
-    /// Steal requests sent by idle ranks (`balance.steal_requests`).
-    pub steal_requests: u64,
-    /// Work units granted to thieves (`balance.stolen_units`).
-    pub stolen_units: u64,
-    /// Iteration-to-iteration re-partitioning passes
-    /// (`balance.rebalance_events`).
-    pub rebalance_events: u64,
-    /// Units whose owner changed across re-partitioning passes
-    /// (`balance.moved_units`).
-    pub moved_units: u64,
+    /// The [`Block::Balance`] counters: steals and re-partitioning.
+    pub counters: Counts,
 }
 
 impl BalanceReport {
@@ -228,10 +162,7 @@ impl BalanceReport {
             rank_busy_ms,
             imbalance_ratio: ratio,
             imbalance_before,
-            steal_requests: counters::total_steal_requests(),
-            stolen_units: counters::total_stolen_units(),
-            rebalance_events: counters::total_rebalance_events(),
-            moved_units: counters::total_rebalance_moved_units(),
+            counters: Counts::block(Block::Balance),
         }
     }
 
@@ -256,150 +187,69 @@ impl BalanceReport {
 /// residual instead of a silent slowdown.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelSelectionReport {
-    /// Per-block-operation decisions that chose the CSR sparse route.
-    pub sparse_selected: u64,
-    /// Per-block-operation decisions that kept the blocked dense GEMM.
-    pub dense_selected: u64,
-    /// Hysteresis flips of sticky per-block choices.
-    pub switches: u64,
-    /// Real flops executed by the CSR sparse kernels.
-    pub sparse_flops: u64,
-    /// Bytes streamed by the CSR sparse kernels (minimal traffic model).
-    pub sparse_bytes: u64,
-    /// Flops of selector-governed coupling products run densely.
-    pub dense_flops: u64,
-    /// Measured seconds in sparse-selected coupling ops (0 when the
-    /// timing spans were disabled).
-    pub sparse_secs: f64,
-    /// Measured seconds in dense-selected coupling ops.
-    pub dense_secs: f64,
-    /// Model-predicted seconds for the same timed sparse ops (0 when the
-    /// strategy carried no calibrated rates).
-    pub predicted_sparse_secs: f64,
-    /// Model-predicted seconds for the same timed dense ops.
-    pub predicted_dense_secs: f64,
+    /// The [`Block::KernelSelection`] counters: decisions, per-route work,
+    /// and measured vs model-predicted nanoseconds (reported as seconds).
+    pub counters: Counts,
     /// The crossover density the selector was operating with (sparse
     /// wins below it); 0 when unknown to the report writer.
     pub crossover_density: f64,
 }
 
-impl KernelSelectionReport {
-    /// Snapshot the global kernel-selection counters. The crossover
-    /// density is not a counter; the caller that knows the calibration
-    /// fills it in.
-    pub fn from_counters() -> Self {
-        KernelSelectionReport {
-            sparse_selected: counters::total_kernel_sparse_selected(),
-            dense_selected: counters::total_kernel_dense_selected(),
-            switches: counters::total_kernel_switches(),
-            sparse_flops: counters::total_kernel_sparse_flops(),
-            sparse_bytes: counters::total_kernel_sparse_bytes(),
-            dense_flops: counters::total_kernel_dense_flops(),
-            sparse_secs: counters::total_kernel_sparse_ns() as f64 / 1e9,
-            dense_secs: counters::total_kernel_dense_ns() as f64 / 1e9,
-            predicted_sparse_secs: counters::total_kernel_sparse_pred_ns() as f64 / 1e9,
-            predicted_dense_secs: counters::total_kernel_dense_pred_ns() as f64 / 1e9,
-            crossover_density: 0.0,
-        }
+/// Kernel-selector decisions; the `kernel_selection` block is emitted,
+/// and valid, only when one is non-zero.
+const KERNEL_DECISIONS: [Counter; 2] =
+    [Counter::KernelSparseSelected, Counter::KernelDenseSelected];
+/// Sweep requests seen by admission control; the `service` block is
+/// emitted, and valid, only when one is non-zero. `warm_starts` counts
+/// seeding attempts, so `warm_fallbacks` can never exceed it.
+const SERVICE_REQUESTS: [Counter; 2] = [Counter::ServiceAdmitted, Counter::ServiceRejected];
+/// Scenarios built, rejected or run; the `corpus` block is emitted, and
+/// valid, only when one is non-zero. Every compared fingerprint comes
+/// from a run, so `matched + mismatched` never exceeds `scenarios_run`.
+const CORPUS_SCENARIOS: [Counter; 3] = [
+    Counter::CorpusScenariosBuilt,
+    Counter::CorpusScenariosRejected,
+    Counter::CorpusScenariosRun,
+];
+
+fn any(counts: &Counts, of: &[Counter]) -> bool {
+    of.iter().any(|&c| counts[c] > 0)
+}
+
+/// The report keys and values of `block`'s counters, in table order.
+fn block_fields(block: Block, counts: &Counts) -> Vec<(String, Json)> {
+    TABLE
+        .iter()
+        .filter(|r| r.block == block)
+        .map(|r| {
+            let v = counts[r.counter] as f64;
+            let v = if r.secs { v / 1e9 } else { v };
+            (r.key.to_string(), Json::Num(v))
+        })
+        .collect()
+}
+
+/// Parse `block`'s counters from the object `v`; every key is required.
+fn block_from_json(block: Block, v: &Json) -> Result<Counts, String> {
+    let mut counts = Counts::default();
+    for r in TABLE.iter().filter(|r| r.block == block) {
+        let field = v.get(r.key);
+        counts[r.counter] = if r.secs {
+            let secs = field
+                .and_then(Json::as_f64)
+                .filter(|s| *s >= 0.0 && s.is_finite());
+            (secs.ok_or(format!("entry lacks seconds {:?}", r.key))? * 1e9).round() as u64
+        } else {
+            field
+                .and_then(Json::as_u64)
+                .ok_or(format!("entry lacks integer {:?}", r.key))?
+        };
     }
+    Ok(counts)
 }
 
-/// Sweep-service availability summary: what admission control, the
-/// deadline watchdog, warm-start degradation, retry, the circuit
-/// breaker, and drain-on-shutdown did over the service's lifetime.
-/// `warm_starts` counts seeding *attempts*, so `warm_fallbacks` (seeds
-/// that failed validation and re-ran cold) can never exceed it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceReport {
-    /// Sweep requests admitted into the service queue.
-    pub admitted: u64,
-    /// Sweep requests rejected with backpressure.
-    pub rejected: u64,
-    /// Sweep requests completed with every point answered.
-    pub completed: u64,
-    /// Sweep requests that failed after exhausting retries.
-    pub failed: u64,
-    /// Requests cancelled by the deadline watchdog.
-    pub deadline_cancels: u64,
-    /// Sweep points seeded from a neighboring converged solve.
-    pub warm_starts: u64,
-    /// Warm-start validation failures degraded to cold solves.
-    pub warm_fallbacks: u64,
-    /// Per-request retries after transient failures.
-    pub retries: u64,
-    /// Circuit-breaker trips quarantining device variants.
-    pub breaker_opens: u64,
-    /// In-flight sweep points checkpointed by drain-on-shutdown.
-    pub drained: u64,
-    /// Warm-start seeds evicted by the bounded store's spread policy.
-    pub warm_evicted: u64,
-}
-
-impl ServiceReport {
-    /// Snapshot the global service counters. Settled-side counters
-    /// (completed, failed, warm_fallbacks) are read *before* their
-    /// attempted-side counterparts (admitted, warm_starts): the service
-    /// bumps attempts before settlements, so with monotonic counters this
-    /// read order keeps `completed + failed <= admitted` and
-    /// `warm_fallbacks <= warm_starts` true even mid-run.
-    pub fn from_counters() -> Self {
-        let completed = counters::total_service_completed();
-        let failed = counters::total_service_failed();
-        let warm_fallbacks = counters::total_service_warm_fallbacks();
-        ServiceReport {
-            admitted: counters::total_service_admitted(),
-            rejected: counters::total_service_rejected(),
-            completed,
-            failed,
-            deadline_cancels: counters::total_service_deadline_cancels(),
-            warm_starts: counters::total_service_warm_starts(),
-            warm_fallbacks,
-            retries: counters::total_service_retries(),
-            breaker_opens: counters::total_service_breaker_opens(),
-            drained: counters::total_service_drained(),
-            warm_evicted: counters::total_service_warm_evicted(),
-        }
-    }
-}
-
-/// Scenario-corpus summary: what the golden-corpus gate saw — scenarios
-/// built and rejected by the fail-closed builder, scenarios executed,
-/// fingerprint match/mismatch tallies, and chaos-matrix reruns.
-/// `matched + mismatched` never exceeds `scenarios_run` (every compared
-/// fingerprint comes from a run; chaos reruns are counted separately).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CorpusReport {
-    /// Scenarios parsed, validated and built into simulations.
-    pub scenarios_built: u64,
-    /// Scenarios rejected fail-closed with typed errors.
-    pub scenarios_rejected: u64,
-    /// Golden-corpus scenarios executed end to end.
-    pub scenarios_run: u64,
-    /// Scenario fingerprints that matched their golden record.
-    pub matched: u64,
-    /// Scenario fingerprints that diverged from their golden record.
-    pub mismatched: u64,
-    /// Chaos-matrix reruns of corpus scenarios under fault injection.
-    pub chaos_reruns: u64,
-}
-
-impl CorpusReport {
-    /// Snapshot the global corpus counters. Settled-side tallies
-    /// (matched, mismatched) are read *before* `scenarios_run` so the
-    /// `matched + mismatched <= scenarios_run` invariant holds even if
-    /// another scenario lands mid-snapshot.
-    pub fn from_counters() -> Self {
-        let matched = counters::total_corpus_matched();
-        let mismatched = counters::total_corpus_mismatched();
-        CorpusReport {
-            scenarios_built: counters::total_corpus_scenarios_built(),
-            scenarios_rejected: counters::total_corpus_scenarios_rejected(),
-            scenarios_run: counters::total_corpus_scenarios_run(),
-            matched,
-            mismatched,
-            chaos_reruns: counters::total_corpus_chaos_reruns(),
-        }
-    }
+fn opt_block_json(block: Block, counts: &Option<Counts>) -> Json {
+    counts.map_or(Json::Null, |c| Json::Obj(block_fields(block, &c)))
 }
 
 /// Metrics time-series block: the periodic counter snapshots taken by
@@ -443,7 +293,7 @@ impl JournalBlock {
             .collect();
         JournalBlock {
             events: by_kind.iter().map(|(_, n)| n).sum(),
-            dropped: counters::total_journal_dropped(),
+            dropped: counters::total(Counter::JournalDropped),
             by_kind,
         }
     }
@@ -460,7 +310,9 @@ pub struct RankComm {
     pub recv_bytes: u64,
 }
 
-/// The full telemetry report emitted by `reproduce profile`.
+/// The full telemetry report emitted by `reproduce profile`. The pure
+/// counter blocks (`health`, `elasticity`, `service`, `corpus`) are
+/// [`Counts`] of their [`Block`]'s rows, keyed in JSON by each row's key.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Per-phase statistics, sorted by path.
@@ -471,25 +323,19 @@ pub struct TelemetryReport {
     pub convergence: Vec<ConvergencePoint>,
     /// Per-rank communication volumes of the distributed iteration.
     pub comm: Vec<RankComm>,
-    /// Total flops counted since the last reset.
-    pub total_flops: u64,
-    /// Total communicated bytes counted since the last reset.
-    pub total_bytes: u64,
-    /// Contact self-energies served from the `BoundaryCache`
-    /// (`boundary.cache_hits`).
-    pub boundary_cache_hits: u64,
-    /// Contact self-energies recomputed by Sancho-Rubio decimation.
-    pub boundary_cache_misses: u64,
+    /// The [`Block::Top`] counters: total flops and bytes, boundary-cache
+    /// hits and misses.
+    pub totals: Counts,
     /// Cold-vs-warm SCF iteration comparison, when a trajectory with at
     /// least two iterations was recorded.
     pub warmup: Option<WarmupStats>,
     /// Resilience counters; `None` only for reports predating the health
     /// guards (`check-report --require-health` rejects those).
-    pub health: Option<HealthReport>,
+    pub health: Option<Counts>,
     /// Elastic-recovery counters; `None` only for reports predating the
     /// rank-failure recovery machinery (also rejected under
     /// `check-report --require-health`).
-    pub elasticity: Option<ElasticityReport>,
+    pub elasticity: Option<Counts>,
     /// Load-balance summary of the distributed iteration; `None` until a
     /// run with per-rank busy-time measurement fills it in
     /// (`check-report --require-balance` rejects reports without it).
@@ -501,11 +347,11 @@ pub struct TelemetryReport {
     /// Sweep-service availability summary; `None` until a run touched
     /// the service admission path (`check-report --require-service`
     /// rejects reports without it).
-    pub service: Option<ServiceReport>,
+    pub service: Option<Counts>,
     /// Scenario-corpus summary; `None` until a run touched the scenario
     /// builder or the golden-corpus gate (`check-report
     /// --require-corpus` rejects reports without it).
-    pub corpus: Option<CorpusReport>,
+    pub corpus: Option<Counts>,
     /// Metrics time-series; `None` unless series sampling was enabled.
     pub series: Option<SeriesBlock>,
     /// Event-journal summary; `None` unless journaling was enabled.
@@ -555,30 +401,25 @@ impl TelemetryReport {
                 },
             );
         }
+        let kernel = Counts::block(Block::KernelSelection);
+        let service = Counts::block(Block::Service);
+        let corpus = Counts::block(Block::Corpus);
         TelemetryReport {
             phases: phases.iter().map(|(p, s)| phase_report(p, s)).collect(),
             residuals: Vec::new(),
             convergence: Vec::new(),
             comm: Vec::new(),
-            total_flops: counters::total_flops(),
-            total_bytes: counters::total_bytes(),
-            boundary_cache_hits: counters::total_boundary_hits(),
-            boundary_cache_misses: counters::total_boundary_misses(),
+            totals: Counts::block(Block::Top),
             warmup: None,
-            health: Some(HealthReport::from_counters()),
-            elasticity: Some(ElasticityReport::from_counters()),
+            health: Some(Counts::block(Block::Health)),
+            elasticity: Some(Counts::block(Block::Elasticity)),
             balance: None,
-            kernel_selection: (counters::total_kernel_sparse_selected()
-                + counters::total_kernel_dense_selected()
-                > 0)
-            .then(KernelSelectionReport::from_counters),
-            service: (counters::total_service_admitted() + counters::total_service_rejected() > 0)
-                .then(ServiceReport::from_counters),
-            corpus: (counters::total_corpus_scenarios_built()
-                + counters::total_corpus_scenarios_rejected()
-                + counters::total_corpus_scenarios_run()
-                > 0)
-            .then(CorpusReport::from_counters),
+            kernel_selection: any(&kernel, &KERNEL_DECISIONS).then_some(KernelSelectionReport {
+                counters: kernel,
+                crossover_density: 0.0,
+            }),
+            service: any(&service, &SERVICE_REQUESTS).then_some(service),
+            corpus: any(&corpus, &CORPUS_SCENARIOS).then_some(corpus),
             series: series::series_enabled().then(SeriesBlock::from_series),
             journal: journal::journaling_enabled().then(JournalBlock::from_journal),
         }
@@ -660,142 +501,34 @@ impl TelemetryReport {
                 ("alloc_reduction".to_string(), Json::Num(w.alloc_reduction)),
             ]),
         };
-        let health = match &self.health {
-            None => Json::Null,
-            Some(h) => Json::Obj(vec![
-                (
-                    "quarantined_points".to_string(),
-                    Json::Num(h.quarantined_points as f64),
-                ),
-                ("eta_retries".to_string(), Json::Num(h.eta_retries as f64)),
-                (
-                    "mixing_backoffs".to_string(),
-                    Json::Num(h.mixing_backoffs as f64),
-                ),
-                ("comm_retries".to_string(), Json::Num(h.comm_retries as f64)),
-                (
-                    "checkpoint_writes".to_string(),
-                    Json::Num(h.checkpoint_writes as f64),
-                ),
-            ]),
-        };
-        let elasticity = match &self.elasticity {
-            None => Json::Null,
-            Some(e) => Json::Obj(vec![
-                ("rank_deaths".to_string(), Json::Num(e.rank_deaths as f64)),
-                (
-                    "heartbeat_timeouts".to_string(),
-                    Json::Num(e.heartbeat_timeouts as f64),
-                ),
-                (
-                    "retile_events".to_string(),
-                    Json::Num(e.retile_events as f64),
-                ),
-                (
-                    "migrated_tiles".to_string(),
-                    Json::Num(e.migrated_tiles as f64),
-                ),
-            ]),
-        };
         let balance = match &self.balance {
             None => Json::Null,
-            Some(b) => Json::Obj(vec![
-                (
-                    "rank_busy_ms".to_string(),
-                    Json::Arr(b.rank_busy_ms.iter().map(|&ms| Json::Num(ms)).collect()),
-                ),
-                ("imbalance_ratio".to_string(), Json::Num(b.imbalance_ratio)),
-                (
-                    "imbalance_before".to_string(),
-                    Json::Num(b.imbalance_before),
-                ),
-                (
-                    "steal_requests".to_string(),
-                    Json::Num(b.steal_requests as f64),
-                ),
-                ("stolen_units".to_string(), Json::Num(b.stolen_units as f64)),
-                (
-                    "rebalance_events".to_string(),
-                    Json::Num(b.rebalance_events as f64),
-                ),
-                ("moved_units".to_string(), Json::Num(b.moved_units as f64)),
-            ]),
+            Some(b) => {
+                let mut fields = vec![
+                    (
+                        "rank_busy_ms".to_string(),
+                        Json::Arr(b.rank_busy_ms.iter().map(|&ms| Json::Num(ms)).collect()),
+                    ),
+                    ("imbalance_ratio".to_string(), Json::Num(b.imbalance_ratio)),
+                    (
+                        "imbalance_before".to_string(),
+                        Json::Num(b.imbalance_before),
+                    ),
+                ];
+                fields.extend(block_fields(Block::Balance, &b.counters));
+                Json::Obj(fields)
+            }
         };
         let kernel_selection = match &self.kernel_selection {
             None => Json::Null,
-            Some(k) => Json::Obj(vec![
-                (
-                    "sparse_selected".to_string(),
-                    Json::Num(k.sparse_selected as f64),
-                ),
-                (
-                    "dense_selected".to_string(),
-                    Json::Num(k.dense_selected as f64),
-                ),
-                ("switches".to_string(), Json::Num(k.switches as f64)),
-                ("sparse_flops".to_string(), Json::Num(k.sparse_flops as f64)),
-                ("sparse_bytes".to_string(), Json::Num(k.sparse_bytes as f64)),
-                ("dense_flops".to_string(), Json::Num(k.dense_flops as f64)),
-                ("sparse_secs".to_string(), Json::Num(k.sparse_secs)),
-                ("dense_secs".to_string(), Json::Num(k.dense_secs)),
-                (
-                    "predicted_sparse_secs".to_string(),
-                    Json::Num(k.predicted_sparse_secs),
-                ),
-                (
-                    "predicted_dense_secs".to_string(),
-                    Json::Num(k.predicted_dense_secs),
-                ),
-                (
+            Some(k) => {
+                let mut fields = block_fields(Block::KernelSelection, &k.counters);
+                fields.push((
                     "crossover_density".to_string(),
                     Json::Num(k.crossover_density),
-                ),
-            ]),
-        };
-        let service = match &self.service {
-            None => Json::Null,
-            Some(s) => Json::Obj(vec![
-                ("admitted".to_string(), Json::Num(s.admitted as f64)),
-                ("rejected".to_string(), Json::Num(s.rejected as f64)),
-                ("completed".to_string(), Json::Num(s.completed as f64)),
-                ("failed".to_string(), Json::Num(s.failed as f64)),
-                (
-                    "deadline_cancels".to_string(),
-                    Json::Num(s.deadline_cancels as f64),
-                ),
-                ("warm_starts".to_string(), Json::Num(s.warm_starts as f64)),
-                (
-                    "warm_fallbacks".to_string(),
-                    Json::Num(s.warm_fallbacks as f64),
-                ),
-                ("retries".to_string(), Json::Num(s.retries as f64)),
-                (
-                    "breaker_opens".to_string(),
-                    Json::Num(s.breaker_opens as f64),
-                ),
-                ("drained".to_string(), Json::Num(s.drained as f64)),
-                ("warm_evicted".to_string(), Json::Num(s.warm_evicted as f64)),
-            ]),
-        };
-        let corpus = match &self.corpus {
-            None => Json::Null,
-            Some(c) => Json::Obj(vec![
-                (
-                    "scenarios_built".to_string(),
-                    Json::Num(c.scenarios_built as f64),
-                ),
-                (
-                    "scenarios_rejected".to_string(),
-                    Json::Num(c.scenarios_rejected as f64),
-                ),
-                (
-                    "scenarios_run".to_string(),
-                    Json::Num(c.scenarios_run as f64),
-                ),
-                ("matched".to_string(), Json::Num(c.matched as f64)),
-                ("mismatched".to_string(), Json::Num(c.mismatched as f64)),
-                ("chaos_reruns".to_string(), Json::Num(c.chaos_reruns as f64)),
-            ]),
+                ));
+                Json::Obj(fields)
+            }
         };
         let series_block = match &self.series {
             None => Json::Null,
@@ -823,38 +556,37 @@ impl TelemetryReport {
                 ),
             ]),
         };
-        Json::Obj(vec![
+        let mut fields = vec![
             ("phases".to_string(), Json::Arr(phases)),
             ("residuals".to_string(), Json::Arr(residuals)),
             ("convergence".to_string(), Json::Arr(convergence)),
             ("comm".to_string(), Json::Arr(comm)),
-            (
-                "total_flops".to_string(),
-                Json::Num(self.total_flops as f64),
-            ),
-            (
-                "total_bytes".to_string(),
-                Json::Num(self.total_bytes as f64),
-            ),
-            (
-                "boundary_cache_hits".to_string(),
-                Json::Num(self.boundary_cache_hits as f64),
-            ),
-            (
-                "boundary_cache_misses".to_string(),
-                Json::Num(self.boundary_cache_misses as f64),
-            ),
+        ];
+        fields.extend(block_fields(Block::Top, &self.totals));
+        fields.extend([
             ("warmup".to_string(), warmup),
-            ("health".to_string(), health),
-            ("elasticity".to_string(), elasticity),
+            (
+                "health".to_string(),
+                opt_block_json(Block::Health, &self.health),
+            ),
+            (
+                "elasticity".to_string(),
+                opt_block_json(Block::Elasticity, &self.elasticity),
+            ),
             ("balance".to_string(), balance),
             ("kernel_selection".to_string(), kernel_selection),
-            ("service".to_string(), service),
-            ("corpus".to_string(), corpus),
+            (
+                "service".to_string(),
+                opt_block_json(Block::Service, &self.service),
+            ),
+            (
+                "corpus".to_string(),
+                opt_block_json(Block::Corpus, &self.corpus),
+            ),
             ("series".to_string(), series_block),
             ("journal".to_string(), journal_block),
-        ])
-        .dump()
+        ]);
+        Json::Obj(fields).dump()
     }
 
     /// Parse a report back from JSON.
@@ -882,11 +614,13 @@ impl TelemetryReport {
                 .ok_or(format!("entry lacks integer {key:?}"))
         };
 
+        let opt_block = |key: &str, block: Block| match root.get(key) {
+            Some(Json::Null) | None => Ok(None),
+            Some(v) => block_from_json(block, v).map(Some),
+        };
+
         let mut report = TelemetryReport {
-            total_flops: int_field(&root, "total_flops")?,
-            total_bytes: int_field(&root, "total_bytes")?,
-            boundary_cache_hits: int_field(&root, "boundary_cache_hits")?,
-            boundary_cache_misses: int_field(&root, "boundary_cache_misses")?,
+            totals: block_from_json(Block::Top, &root)?,
             warmup: match root.get("warmup") {
                 Some(Json::Null) | None => None,
                 Some(w) => Some(WarmupStats {
@@ -898,25 +632,8 @@ impl TelemetryReport {
                     alloc_reduction: num_field(w, "alloc_reduction")?,
                 }),
             },
-            health: match root.get("health") {
-                Some(Json::Null) | None => None,
-                Some(h) => Some(HealthReport {
-                    quarantined_points: int_field(h, "quarantined_points")?,
-                    eta_retries: int_field(h, "eta_retries")?,
-                    mixing_backoffs: int_field(h, "mixing_backoffs")?,
-                    comm_retries: int_field(h, "comm_retries")?,
-                    checkpoint_writes: int_field(h, "checkpoint_writes")?,
-                }),
-            },
-            elasticity: match root.get("elasticity") {
-                Some(Json::Null) | None => None,
-                Some(e) => Some(ElasticityReport {
-                    rank_deaths: int_field(e, "rank_deaths")?,
-                    heartbeat_timeouts: int_field(e, "heartbeat_timeouts")?,
-                    retile_events: int_field(e, "retile_events")?,
-                    migrated_tiles: int_field(e, "migrated_tiles")?,
-                }),
-            },
+            health: opt_block("health", Block::Health)?,
+            elasticity: opt_block("elasticity", Block::Elasticity)?,
             balance: match root.get("balance") {
                 Some(Json::Null) | None => None,
                 Some(b) => Some(BalanceReport {
@@ -929,57 +646,18 @@ impl TelemetryReport {
                         .collect::<Result<Vec<f64>, _>>()?,
                     imbalance_ratio: num_field(b, "imbalance_ratio")?,
                     imbalance_before: num_field(b, "imbalance_before")?,
-                    steal_requests: int_field(b, "steal_requests")?,
-                    stolen_units: int_field(b, "stolen_units")?,
-                    rebalance_events: int_field(b, "rebalance_events")?,
-                    moved_units: int_field(b, "moved_units")?,
+                    counters: block_from_json(Block::Balance, b)?,
                 }),
             },
             kernel_selection: match root.get("kernel_selection") {
                 Some(Json::Null) | None => None,
                 Some(k) => Some(KernelSelectionReport {
-                    sparse_selected: int_field(k, "sparse_selected")?,
-                    dense_selected: int_field(k, "dense_selected")?,
-                    switches: int_field(k, "switches")?,
-                    sparse_flops: int_field(k, "sparse_flops")?,
-                    sparse_bytes: int_field(k, "sparse_bytes")?,
-                    dense_flops: int_field(k, "dense_flops")?,
-                    sparse_secs: num_field(k, "sparse_secs")?,
-                    dense_secs: num_field(k, "dense_secs")?,
-                    predicted_sparse_secs: num_field(k, "predicted_sparse_secs")?,
-                    predicted_dense_secs: num_field(k, "predicted_dense_secs")?,
+                    counters: block_from_json(Block::KernelSelection, k)?,
                     crossover_density: num_field(k, "crossover_density")?,
                 }),
             },
-            service: match root.get("service") {
-                Some(Json::Null) | None => None,
-                Some(s) => Some(ServiceReport {
-                    admitted: int_field(s, "admitted")?,
-                    rejected: int_field(s, "rejected")?,
-                    completed: int_field(s, "completed")?,
-                    failed: int_field(s, "failed")?,
-                    deadline_cancels: int_field(s, "deadline_cancels")?,
-                    warm_starts: int_field(s, "warm_starts")?,
-                    warm_fallbacks: int_field(s, "warm_fallbacks")?,
-                    retries: int_field(s, "retries")?,
-                    breaker_opens: int_field(s, "breaker_opens")?,
-                    drained: int_field(s, "drained")?,
-                    // Absent in reports predating the bounded warm store;
-                    // default to zero rather than rejecting them.
-                    warm_evicted: s.get("warm_evicted").and_then(Json::as_u64).unwrap_or(0),
-                }),
-            },
-            corpus: match root.get("corpus") {
-                Some(Json::Null) | None => None,
-                Some(c) => Some(CorpusReport {
-                    scenarios_built: int_field(c, "scenarios_built")?,
-                    scenarios_rejected: int_field(c, "scenarios_rejected")?,
-                    scenarios_run: int_field(c, "scenarios_run")?,
-                    matched: int_field(c, "matched")?,
-                    mismatched: int_field(c, "mismatched")?,
-                    chaos_reruns: int_field(c, "chaos_reruns")?,
-                }),
-            },
+            service: opt_block("service", Block::Service)?,
+            corpus: opt_block("corpus", Block::Corpus)?,
             series: match root.get("series") {
                 Some(Json::Null) | None => None,
                 Some(s) => Some(SeriesBlock {
@@ -1139,18 +817,8 @@ impl TelemetryReport {
             }
         }
         if let Some(k) = &self.kernel_selection {
-            if k.sparse_selected + k.dense_selected == 0 {
+            if !any(&k.counters, &KERNEL_DECISIONS) {
                 return Err("kernel_selection block present but no decisions recorded".into());
-            }
-            let secs = [
-                k.sparse_secs,
-                k.dense_secs,
-                k.predicted_sparse_secs,
-                k.predicted_dense_secs,
-                k.crossover_density,
-            ];
-            if secs.iter().any(|x| !x.is_finite() || *x < 0.0) {
-                return Err("kernel_selection block contains bad timings".into());
             }
             if !(0.0..=1.0).contains(&k.crossover_density) {
                 return Err(format!(
@@ -1160,32 +828,33 @@ impl TelemetryReport {
             }
         }
         if let Some(s) = &self.service {
-            if s.admitted + s.rejected == 0 {
+            if !any(s, &SERVICE_REQUESTS) {
                 return Err("service block present but no requests recorded".into());
             }
-            if s.completed + s.failed > s.admitted {
+            let settled = s[Counter::ServiceCompleted] + s[Counter::ServiceFailed];
+            if settled > s[Counter::ServiceAdmitted] {
                 return Err(format!(
-                    "service settled {} requests but admitted only {}",
-                    s.completed + s.failed,
-                    s.admitted
+                    "service settled {settled} requests but admitted only {}",
+                    s[Counter::ServiceAdmitted]
                 ));
             }
-            if s.warm_fallbacks > s.warm_starts {
+            if s[Counter::ServiceWarmFallbacks] > s[Counter::ServiceWarmStarts] {
                 return Err(format!(
                     "service warm_fallbacks {} exceeds warm_starts {}",
-                    s.warm_fallbacks, s.warm_starts
+                    s[Counter::ServiceWarmFallbacks],
+                    s[Counter::ServiceWarmStarts]
                 ));
             }
         }
         if let Some(c) = &self.corpus {
-            if c.scenarios_built + c.scenarios_rejected + c.scenarios_run == 0 {
+            if !any(c, &CORPUS_SCENARIOS) {
                 return Err("corpus block present but no scenarios recorded".into());
             }
-            if c.matched + c.mismatched > c.scenarios_run {
+            let compared = c[Counter::CorpusMatched] + c[Counter::CorpusMismatched];
+            if compared > c[Counter::CorpusScenariosRun] {
                 return Err(format!(
-                    "corpus compared {} fingerprints but ran only {} scenarios",
-                    c.matched + c.mismatched,
-                    c.scenarios_run
+                    "corpus compared {compared} fingerprints but ran only {} scenarios",
+                    c[Counter::CorpusScenariosRun]
                 ));
             }
         }
@@ -1216,6 +885,15 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Counter::*;
+
+    fn counts(values: &[(Counter, u64)]) -> Counts {
+        let mut c = Counts::default();
+        for &(counter, v) in values {
+            c[counter] = v;
+        }
+        c
+    }
 
     #[test]
     fn report_roundtrips_and_validates() {
@@ -1247,73 +925,77 @@ mod tests {
             recv_bytes: 50,
         });
         rep.warmup = WarmupStats::from_convergence(&rep.convergence);
-        rep.health = Some(HealthReport {
-            quarantined_points: 3,
-            eta_retries: 1,
-            mixing_backoffs: 2,
-            comm_retries: 7,
-            checkpoint_writes: 4,
-        });
-        rep.elasticity = Some(ElasticityReport {
-            rank_deaths: 2,
-            heartbeat_timeouts: 1,
-            retile_events: 2,
-            migrated_tiles: 6,
-        });
+        rep.health = Some(counts(&[
+            (HealthQuarantined, 3),
+            (HealthEtaRetries, 1),
+            (HealthMixingBackoffs, 2),
+            (HealthCommRetries, 7),
+            (HealthCheckpointWrites, 4),
+        ]));
+        rep.elasticity = Some(counts(&[
+            (ElasticRankDeaths, 2),
+            (ElasticHeartbeatTimeouts, 1),
+            (ElasticRetileEvents, 2),
+            (ElasticMigratedTiles, 6),
+        ]));
         rep.balance = Some(BalanceReport {
             rank_busy_ms: vec![4.0, 2.0, 2.0],
             imbalance_ratio: 1.5,
             imbalance_before: 2.4,
-            steal_requests: 5,
-            stolen_units: 3,
-            rebalance_events: 1,
-            moved_units: 2,
+            counters: counts(&[
+                (BalanceStealRequests, 5),
+                (BalanceStolenUnits, 3),
+                (BalanceRebalanceEvents, 1),
+                (BalanceMovedUnits, 2),
+            ]),
         });
         rep.kernel_selection = Some(KernelSelectionReport {
-            sparse_selected: 12,
-            dense_selected: 4,
-            switches: 1,
-            sparse_flops: 1 << 20,
-            sparse_bytes: 1 << 16,
-            dense_flops: 1 << 22,
-            sparse_secs: 0.01,
-            dense_secs: 0.04,
-            predicted_sparse_secs: 0.012,
-            predicted_dense_secs: 0.038,
+            counters: counts(&[
+                (KernelSparseSelected, 12),
+                (KernelDenseSelected, 4),
+                (KernelSwitches, 1),
+                (KernelSparseFlops, 1 << 20),
+                (KernelSparseBytes, 1 << 16),
+                (KernelDenseFlops, 1 << 22),
+                (KernelSparseNs, 10_000_000),
+                (KernelDenseNs, 40_000_000),
+                (KernelSparsePredNs, 12_000_000),
+                (KernelDensePredNs, 38_000_123),
+            ]),
             crossover_density: 0.3,
         });
-        rep.service = Some(ServiceReport {
-            admitted: 8,
-            rejected: 2,
-            completed: 6,
-            failed: 1,
-            deadline_cancels: 1,
-            warm_starts: 5,
-            warm_fallbacks: 1,
-            retries: 2,
-            breaker_opens: 1,
-            drained: 3,
-            warm_evicted: 2,
-        });
-        rep.corpus = Some(CorpusReport {
-            scenarios_built: 6,
-            scenarios_rejected: 2,
-            scenarios_run: 5,
-            matched: 4,
-            mismatched: 1,
-            chaos_reruns: 3,
-        });
+        rep.service = Some(counts(&[
+            (ServiceAdmitted, 8),
+            (ServiceRejected, 2),
+            (ServiceCompleted, 6),
+            (ServiceFailed, 1),
+            (ServiceDeadlineCancels, 1),
+            (ServiceWarmStarts, 5),
+            (ServiceWarmFallbacks, 1),
+            (ServiceRetries, 2),
+            (ServiceBreakerOpens, 1),
+            (ServiceDrained, 3),
+            (ServiceWarmEvicted, 2),
+        ]));
+        rep.corpus = Some(counts(&[
+            (CorpusScenariosBuilt, 6),
+            (CorpusScenariosRejected, 2),
+            (CorpusScenariosRun, 5),
+            (CorpusMatched, 4),
+            (CorpusMismatched, 1),
+            (CorpusChaosReruns, 3),
+        ]));
         rep.series = Some(SeriesBlock {
             samples: vec![
                 series::Sample {
                     ts_us: 10.0,
                     iteration: 0,
-                    values: [7; crate::names::N_SERIES_METRICS],
+                    values: counts(&[(Flops, 7), (WsFresh, 7)]),
                 },
                 series::Sample {
                     ts_us: 20.0,
                     iteration: 1,
-                    values: [9; crate::names::N_SERIES_METRICS],
+                    values: counts(&[(Flops, 9), (CorpusChaosReruns, 9)]),
                 },
             ],
             dropped: 1,
@@ -1335,41 +1017,37 @@ mod tests {
         assert!(bad.validate().is_err());
         // Nor one whose crossover is not a density.
         bad.kernel_selection = Some(KernelSelectionReport {
-            sparse_selected: 1,
+            counters: counts(&[(KernelSparseSelected, 1)]),
             crossover_density: 1.5,
-            ..KernelSelectionReport::default()
         });
         assert!(bad.validate().is_err());
         // A service block with no traffic, over-settled requests, or more
         // fallbacks than warm attempts must not validate.
         bad.kernel_selection = rep.kernel_selection.clone();
-        bad.service = Some(ServiceReport::default());
+        bad.service = Some(Counts::default());
         assert!(bad.validate().is_err());
-        bad.service = Some(ServiceReport {
-            admitted: 2,
-            completed: 2,
-            failed: 1,
-            ..ServiceReport::default()
-        });
+        bad.service = Some(counts(&[
+            (ServiceAdmitted, 2),
+            (ServiceCompleted, 2),
+            (ServiceFailed, 1),
+        ]));
         assert!(bad.validate().is_err());
-        bad.service = Some(ServiceReport {
-            admitted: 2,
-            warm_starts: 1,
-            warm_fallbacks: 2,
-            ..ServiceReport::default()
-        });
+        bad.service = Some(counts(&[
+            (ServiceAdmitted, 2),
+            (ServiceWarmStarts, 1),
+            (ServiceWarmFallbacks, 2),
+        ]));
         assert!(bad.validate().is_err());
         // A corpus block with no activity, or with more fingerprint
         // comparisons than scenario runs, must not validate.
         bad.service = rep.service;
-        bad.corpus = Some(CorpusReport::default());
+        bad.corpus = Some(Counts::default());
         assert!(bad.validate().is_err());
-        bad.corpus = Some(CorpusReport {
-            scenarios_run: 1,
-            matched: 1,
-            mismatched: 1,
-            ..CorpusReport::default()
-        });
+        bad.corpus = Some(counts(&[
+            (CorpusScenariosRun, 1),
+            (CorpusMatched, 1),
+            (CorpusMismatched, 1),
+        ]));
         assert!(bad.validate().is_err());
         // An inconsistent journal summary must not validate.
         rep.journal = Some(JournalBlock {
@@ -1382,108 +1060,6 @@ mod tests {
         rep.journal = None;
         rep.series.as_mut().unwrap().samples.reverse();
         assert!(rep.validate().is_err());
-    }
-
-    #[test]
-    fn report_block_keys_come_from_the_name_registry() {
-        use crate::names;
-        registry::record("test/report/phase5", 1, 1, 0, 0, 0);
-        crate::series::set_series_enabled(true);
-        crate::series::sample_now();
-        let mut rep = TelemetryReport::from_current();
-        crate::series::set_series_enabled(false);
-        rep.journal = Some(JournalBlock::from_journal());
-        let root = Json::parse(&rep.to_json()).unwrap();
-        let block_keys = |block: &str| -> Vec<String> {
-            match root.get(block) {
-                Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
-                other => panic!("block {block:?} is not an object: {other:?}"),
-            }
-        };
-        // Counter blocks spell their keys as `<block>.<key>` registry
-        // entries (the report block `elasticity` maps to the `elastic.`
-        // metric prefix).
-        for key in block_keys("health") {
-            let metric = format!("health.{key}");
-            assert!(names::is_registered(&metric), "unregistered {metric:?}");
-            assert_eq!(names::field_of(&metric), key);
-        }
-        for key in block_keys("elasticity") {
-            let metric = format!("elastic.{key}");
-            assert!(names::is_registered(&metric), "unregistered {metric:?}");
-        }
-        for key in [
-            "steal_requests",
-            "stolen_units",
-            "rebalance_events",
-            "moved_units",
-        ] {
-            assert!(names::is_registered(&format!("balance.{key}")));
-        }
-        // Counter fields of the kernel-selection block (the derived
-        // timing fields are not counters and carry no registry entry).
-        for key in [
-            "sparse_selected",
-            "dense_selected",
-            "switches",
-            "sparse_flops",
-            "sparse_bytes",
-            "dense_flops",
-        ] {
-            assert!(names::is_registered(&format!("kernel.{key}")));
-        }
-        // Every field of the service block mirrors a registered counter.
-        rep.service = Some(ServiceReport {
-            admitted: 1,
-            ..ServiceReport::default()
-        });
-        let root = Json::parse(&rep.to_json()).unwrap();
-        match root.get("service") {
-            Some(Json::Obj(fields)) => {
-                assert!(!fields.is_empty());
-                for (key, _) in fields {
-                    let metric = format!("service.{key}");
-                    assert!(names::is_registered(&metric), "unregistered {metric:?}");
-                    assert_eq!(names::field_of(&metric), *key);
-                }
-            }
-            other => panic!("service block is not an object: {other:?}"),
-        }
-        // Every field of the corpus block mirrors a registered counter.
-        rep.corpus = Some(CorpusReport {
-            scenarios_built: 1,
-            ..CorpusReport::default()
-        });
-        let root = Json::parse(&rep.to_json()).unwrap();
-        match root.get("corpus") {
-            Some(Json::Obj(fields)) => {
-                assert!(!fields.is_empty());
-                for (key, _) in fields {
-                    let metric = format!("corpus.{key}");
-                    assert!(names::is_registered(&metric), "unregistered {metric:?}");
-                    assert_eq!(names::field_of(&metric), *key);
-                }
-            }
-            other => panic!("corpus block is not an object: {other:?}"),
-        }
-        // Series samples key their values by the registered names
-        // verbatim.
-        let samples = root
-            .get("series")
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_array)
-            .expect("series block with samples");
-        assert!(!samples.is_empty());
-        for s in samples {
-            match s.get("values") {
-                Some(Json::Obj(fields)) => {
-                    for (k, _) in fields {
-                        assert!(names::is_registered(k), "unregistered series metric {k:?}");
-                    }
-                }
-                other => panic!("sample values is not an object: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Metrics time-series: periodic counter snapshots in a bounded ring.
 //!
 //! The counters answer "how much in total"; the series answers "when".
-//! [`sample_now`] snapshots every metric in
-//! [`crate::names::SERIES_METRICS`] into one [`Sample`]; the SCF loop
+//! [`sample_now`] snapshots every sampled counter of the
+//! [`crate::counters`] table into one [`Sample`]; the SCF loop
 //! takes one per iteration and hot loops may call [`maybe_sample`] with a
 //! minimum spacing for wall-clock-paced coverage. Samples live in a
 //! global bounded ring (newest kept, drops accounted) and are exported
@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::counters;
+use crate::counters::{self, Counts, Row, TABLE};
 use crate::json::Json;
-use crate::names;
 
 /// Default capacity of the sample ring.
 pub const DEFAULT_SERIES_CAPACITY: usize = 1024;
@@ -28,8 +27,9 @@ pub struct Sample {
     pub ts_us: f64,
     /// SCF iteration the sample was taken in, or −1 outside the loop.
     pub iteration: i64,
-    /// Counter totals, indexed like [`names::SERIES_METRICS`].
-    pub values: [u64; names::N_SERIES_METRICS],
+    /// Totals of the sampled counters (every named one but
+    /// `journal.dropped`); the others are 0.
+    pub values: Counts,
 }
 
 struct SeriesRing {
@@ -94,11 +94,10 @@ pub fn sample_now() {
     }
     let ts_us = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64 / 1e3;
     LAST_SAMPLE_MS.store((ts_us / 1e3) as u64, Relaxed);
-    let values = snapshot_values();
     let sample = Sample {
         ts_us,
         iteration: ITERATION.load(Relaxed),
-        values,
+        values: Counts::read(Row::sampled),
     };
     let mut g = RING.lock().unwrap();
     let Some(ring) = g.as_mut() else { return };
@@ -130,54 +129,6 @@ pub fn maybe_sample(min_interval_ms: u64) {
     }
 }
 
-fn snapshot_values() -> [u64; names::N_SERIES_METRICS] {
-    [
-        counters::total_flops(),
-        counters::total_bytes(),
-        counters::total_alloc_bytes(),
-        counters::total_alloc_count(),
-        counters::total_ws_fresh(),
-        counters::total_boundary_hits(),
-        counters::total_boundary_misses(),
-        counters::total_quarantined_points(),
-        counters::total_eta_retries(),
-        counters::total_mixing_backoffs(),
-        counters::total_comm_retries(),
-        counters::total_checkpoint_writes(),
-        counters::total_rank_deaths(),
-        counters::total_heartbeat_timeouts(),
-        counters::total_retile_events(),
-        counters::total_migrated_tiles(),
-        counters::total_steal_requests(),
-        counters::total_stolen_units(),
-        counters::total_rebalance_events(),
-        counters::total_rebalance_moved_units(),
-        counters::total_kernel_sparse_selected(),
-        counters::total_kernel_dense_selected(),
-        counters::total_kernel_switches(),
-        counters::total_kernel_sparse_flops(),
-        counters::total_kernel_sparse_bytes(),
-        counters::total_kernel_dense_flops(),
-        counters::total_service_admitted(),
-        counters::total_service_rejected(),
-        counters::total_service_completed(),
-        counters::total_service_failed(),
-        counters::total_service_deadline_cancels(),
-        counters::total_service_warm_starts(),
-        counters::total_service_warm_fallbacks(),
-        counters::total_service_retries(),
-        counters::total_service_breaker_opens(),
-        counters::total_service_drained(),
-        counters::total_service_warm_evicted(),
-        counters::total_corpus_scenarios_built(),
-        counters::total_corpus_scenarios_rejected(),
-        counters::total_corpus_scenarios_run(),
-        counters::total_corpus_matched(),
-        counters::total_corpus_mismatched(),
-        counters::total_corpus_chaos_reruns(),
-    ]
-}
-
 /// Samples in chronological order, plus the count of samples lost to
 /// ring overflow.
 pub fn snapshot() -> (Vec<Sample>, u64) {
@@ -205,12 +156,10 @@ pub fn reset_series() {
 }
 
 impl Sample {
-    /// Encode with metric values keyed by their [`names`] strings.
+    /// Encode with metric values keyed by their names, in table order.
     pub fn to_json(&self) -> Json {
-        let values = names::SERIES_METRICS
-            .iter()
-            .zip(self.values.iter())
-            .map(|(name, &v)| (name.to_string(), Json::Num(v as f64)))
+        let values = sampled_rows()
+            .map(|(name, r)| (name.to_string(), Json::Num(self.values[r.counter] as f64)))
             .collect();
         Json::Obj(vec![
             ("ts_us".to_string(), Json::Num(self.ts_us)),
@@ -234,13 +183,12 @@ impl Sample {
         let Json::Obj(fields) = obj else {
             return Err("sample values is not an object".into());
         };
-        let mut values = [0u64; names::N_SERIES_METRICS];
+        let mut values = Counts::default();
         for (k, val) in fields {
-            let idx = names::SERIES_METRICS
-                .iter()
-                .position(|m| m == k)
+            let (_, row) = sampled_rows()
+                .find(|(name, _)| name == k)
                 .ok_or(format!("sample has unregistered metric {k:?}"))?;
-            values[idx] = val.as_u64().ok_or(format!("bad value for metric {k:?}"))?;
+            values[row.counter] = val.as_u64().ok_or(format!("bad value for metric {k:?}"))?;
         }
         Ok(Sample {
             ts_us,
@@ -250,25 +198,30 @@ impl Sample {
     }
 }
 
+/// The sampled rows with their metric names, in table order.
+fn sampled_rows() -> impl Iterator<Item = (&'static str, &'static Row)> {
+    TABLE
+        .iter()
+        .filter(|r| r.sampled())
+        .map(|r| (r.name.expect("sampled rows are named"), r))
+}
+
 /// Render the latest counter totals as Prometheus text exposition
-/// (counter metrics, `qt_` prefix, `.` mapped to `_`). Always reflects
-/// the live counters, so it is a valid scrape body even before any
-/// sample was taken.
+/// (counter metrics, `qt_` prefix, `.` mapped to `_`): the sampled
+/// counters in table order, then the other named ones, then the
+/// `journal.events` gauge. Always reflects the live counters, so it is a
+/// valid scrape body even before any sample was taken.
 pub fn render_prometheus() -> String {
-    let values = snapshot_values();
+    let unsampled = TABLE.iter().filter(|r| !r.sampled());
+    let rows = sampled_rows().chain(unsampled.filter_map(|r| Some((r.name?, r))));
     let mut out = String::new();
-    for (name, &v) in names::SERIES_METRICS.iter().zip(values.iter()) {
+    for (name, row) in rows {
         let prom = format!("qt_{}", name.replace('.', "_"));
+        let v = counters::total(row.counter);
         out.push_str(&format!("# TYPE {prom} counter\n{prom} {v}\n"));
     }
-    let dropped = format!("qt_{}", names::JOURNAL_DROPPED.replace('.', "_"));
     out.push_str(&format!(
-        "# TYPE {dropped} counter\n{dropped} {}\n",
-        counters::total_journal_dropped()
-    ));
-    let events = format!("qt_{}", names::JOURNAL_EVENTS.replace('.', "_"));
-    out.push_str(&format!(
-        "# TYPE {events} gauge\n{events} {}\n",
+        "# TYPE qt_journal_events gauge\nqt_journal_events {}\n",
         crate::journal::event_count()
     ));
     out
@@ -316,9 +269,9 @@ mod tests {
 
     #[test]
     fn samples_roundtrip_through_json() {
-        let mut values = [0u64; names::N_SERIES_METRICS];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = (i as u64 + 1) * 10;
+        let mut values = Counts::default();
+        for (i, (_, row)) in sampled_rows().enumerate() {
+            values[row.counter] = (i as u64 + 1) * 10;
         }
         let s = Sample {
             ts_us: 1234.5,
@@ -327,26 +280,28 @@ mod tests {
         };
         let back = Sample::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        // A forked metric name must be rejected, not silently dropped.
-        let forged = Json::Obj(vec![
-            ("ts_us".to_string(), Json::Num(0.0)),
-            ("iteration".to_string(), Json::Num(0.0)),
-            (
-                "values".to_string(),
-                Json::Obj(vec![("health.quarantine".to_string(), Json::Num(1.0))]),
-            ),
-        ]);
-        assert!(Sample::from_json(&forged).is_err());
+        // A forked metric name, or a named but unsampled counter, must be
+        // rejected, not silently dropped.
+        for name in ["health.quarantine", "journal.dropped"] {
+            let forged = Json::Obj(vec![
+                ("ts_us".to_string(), Json::Num(0.0)),
+                ("iteration".to_string(), Json::Num(0.0)),
+                (
+                    "values".to_string(),
+                    Json::Obj(vec![(name.to_string(), Json::Num(1.0))]),
+                ),
+            ]);
+            assert!(Sample::from_json(&forged).is_err(), "{name} accepted");
+        }
     }
 
     #[test]
-    fn prometheus_rendering_covers_every_metric() {
+    fn prometheus_rendering_is_well_formed() {
         let text = render_prometheus();
-        for name in names::SERIES_METRICS {
-            let prom = format!("qt_{}", name.replace('.', "_"));
-            assert!(text.contains(&prom), "missing {prom}");
-        }
-        assert!(text.contains("qt_journal_dropped"));
+        // The unsampled `journal.dropped` follows the series metrics.
+        let dropped = text.find("qt_journal_dropped").unwrap();
+        assert!(text.find("qt_corpus_chaos_reruns").unwrap() < dropped);
+        assert!(text.contains("# TYPE qt_journal_events gauge\n"));
         for line in text.lines() {
             assert!(line.starts_with("# TYPE") || line.starts_with("qt_"));
         }

@@ -4,7 +4,8 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Instant;
 
-use crate::{counters, registry, trace};
+use crate::counters::{self, Counter};
+use crate::{registry, trace};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -51,10 +52,10 @@ impl Span {
             active: Some(Active {
                 path,
                 t0: Instant::now(),
-                flops0: counters::local_flops(),
-                bytes0: counters::local_bytes(),
-                alloc_bytes0: counters::local_alloc_bytes(),
-                alloc_count0: counters::local_alloc_count(),
+                flops0: counters::local(Counter::Flops),
+                bytes0: counters::local(Counter::Bytes),
+                alloc_bytes0: counters::local(Counter::AllocBytes),
+                alloc_count0: counters::local(Counter::AllocCount),
                 global: false,
             }),
         }
@@ -73,10 +74,10 @@ impl Span {
             active: Some(Active {
                 path,
                 t0: Instant::now(),
-                flops0: counters::total_flops(),
-                bytes0: counters::total_bytes(),
-                alloc_bytes0: counters::total_alloc_bytes(),
-                alloc_count0: counters::total_alloc_count(),
+                flops0: counters::total(Counter::Flops),
+                bytes0: counters::total(Counter::Bytes),
+                alloc_bytes0: counters::total(Counter::AllocBytes),
+                alloc_count0: counters::total(Counter::AllocCount),
                 global: true,
             }),
         }
@@ -91,17 +92,17 @@ impl Drop for Span {
         let wall_ns = a.t0.elapsed().as_nanos() as u64;
         let (flops1, bytes1, alloc_bytes1, alloc_count1) = if a.global {
             (
-                counters::total_flops(),
-                counters::total_bytes(),
-                counters::total_alloc_bytes(),
-                counters::total_alloc_count(),
+                counters::total(Counter::Flops),
+                counters::total(Counter::Bytes),
+                counters::total(Counter::AllocBytes),
+                counters::total(Counter::AllocCount),
             )
         } else {
             (
-                counters::local_flops(),
-                counters::local_bytes(),
-                counters::local_alloc_bytes(),
-                counters::local_alloc_count(),
+                counters::local(Counter::Flops),
+                counters::local(Counter::Bytes),
+                counters::local(Counter::AllocBytes),
+                counters::local(Counter::AllocCount),
             )
         };
         registry::record(
